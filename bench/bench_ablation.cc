@@ -3,12 +3,10 @@
 //   * shift-only (next degraded to 0/1)
 //   * no GSW reasoning (interval oracle only)
 //   * no reasoning at all (all-U matrices: the sound minimum)
-// plus the Sec 8 forward/reverse direction comparison.
 
 #include <cstdio>
 
 #include "bench_util.h"
-#include "engine/reverse.h"
 
 namespace sqlts {
 namespace {
@@ -66,27 +64,5 @@ int main() {
   nothing.oracle.use_intervals = false;
   row("OPS all-U (no oracle)", OpsEvals(djia, query, nothing));
 
-  PrintHeader("E8b: forward vs reverse direction (Sec 8)");
-  {
-    auto compiled = CompileQueryText(query, djia.schema());
-    SQLTS_CHECK(compiled.ok());
-    auto fwd = CompilePattern(*compiled);
-    SQLTS_CHECK(fwd.ok());
-    auto rev = CompileReversePlan(*compiled);
-    SQLTS_CHECK(rev.ok()) << rev.status();
-    DirectionChoice choice = ChooseSearchDirection(*fwd, *rev);
-    std::printf("heuristic scores: forward=%.3f reverse=%.3f → prefer %s\n",
-                choice.forward_score, choice.reverse_score,
-                choice.prefer_reverse ? "reverse" : "forward");
-    auto clusters = ClusteredSequence::Build(&djia, {}, {"date"});
-    SQLTS_CHECK(clusters.ok());
-    SearchStats fs, rs;
-    auto fm = OpsSearch(clusters->cluster(0), *fwd, &fs);
-    auto rm = ReverseOpsSearch(clusters->cluster(0), *rev, &rs);
-    std::printf("forward: %zu matches, %lld tests; reverse: %zu matches, "
-                "%lld tests\n",
-                fm.size(), static_cast<long long>(fs.evaluations),
-                rm.size(), static_cast<long long>(rs.evaluations));
-  }
   return 0;
 }

@@ -602,11 +602,9 @@ int main(int argc, char** argv) {
   }
 
   if (stream) {
-    int64_t emitted = 0;
     auto exec = StreamingQueryExecutor::Create(
         query, schema,
         [&](const Row& row) {
-          ++emitted;
           std::string line;
           for (const Value& v : row) {
             if (!line.empty()) line += " | ";
@@ -690,7 +688,6 @@ int main(int argc, char** argv) {
                    static_cast<long long>((*exec)->rows_skipped()));
     }
     std::fprintf(stderr, "\n");
-    (void)emitted;
     return 0;
   }
 

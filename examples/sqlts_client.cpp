@@ -14,7 +14,7 @@
 // while the server restarts, ECONNRESET before any output — and
 // reissues the request.  Once row output has started the request is
 // never reissued (a blind reissue would duplicate rows; see
-// docs/OPERATIONS.md for the failover runbook).
+// docs/OPERATIONS.md).
 
 #include <cstdio>
 #include <cstdlib>

@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "analysis/linter.h"
-#include "engine/reverse.h"
 
 namespace sqlts {
 namespace {
@@ -70,14 +69,6 @@ std::string ExplainQuery(const CompiledQuery& query, const PatternPlan& plan,
     DescribeAnalysis(plan.analyses[j - 1], &os);
   }
   os << plan.ToString();
-  // Direction heuristic (Sec 8) when the pattern is reversible.
-  auto rev = CompileReversePlan(query);
-  if (rev.ok()) {
-    DirectionChoice d = ChooseSearchDirection(plan, *rev);
-    os << "direction heuristic: forward=" << d.forward_score
-       << " reverse=" << d.reverse_score << " -> "
-       << (d.prefer_reverse ? "reverse" : "forward") << "\n";
-  }
   // Static-analysis verdicts over the same θ/φ machinery.
   LintResult lint = LintQuery(query);
   os << "diagnostics: ";

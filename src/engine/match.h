@@ -33,7 +33,7 @@ struct SearchStats {
   /// encoded payload bytes actually fetched.  Zero on in-memory
   /// execution.  These are I/O accounting, not part of the matcher's
   /// answer, and are deliberately excluded from checkpoint
-  /// serialization and the replication stats fingerprint.
+  /// serialization.
   int64_t blocks_total = 0;
   int64_t blocks_skipped = 0;
   int64_t bytes_read = 0;

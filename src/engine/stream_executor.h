@@ -132,9 +132,9 @@ class StreamingQueryExecutor {
   /// deterministic emission order.  Persisted in checkpoints (after the
   /// flush, so it is identical at every thread count) and reinstated by
   /// Restore() — the k-th delivered row of a resumed run is bit-identical
-  /// to the k-th of an uninterrupted one, which is what lets a
-  /// replicated consumer deduplicate replayed output by sequence number
-  /// (see src/replication/).
+  /// to the k-th of an uninterrupted one, so a consumer that resumes
+  /// from a checkpoint can deduplicate replayed output by sequence
+  /// number.
   int64_t rows_emitted() const { return rows_emitted_; }
   /// Malformed rows dropped under BadInputPolicy::kSkipAndCount.
   int64_t rows_skipped() const { return rows_skipped_; }

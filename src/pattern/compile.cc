@@ -15,29 +15,6 @@ void DegradeNext(SearchTables* tables) {
   }
 }
 
-PatternPlan Finish(std::vector<PredicateAnalysis> preds,
-                   std::vector<bool> star1, std::vector<ExprPtr> predicates1,
-                   const CompileOptions& options) {
-  PatternPlan plan;
-  plan.m = static_cast<int>(preds.size());
-  plan.star = std::move(star1);
-  plan.predicates = std::move(predicates1);
-  plan.has_star = false;
-  for (int j = 1; j <= plan.m; ++j) plan.has_star |= plan.star[j];
-
-  ImplicationOracle oracle(options.oracle);
-  plan.matrices = BuildThetaPhi(preds, oracle);
-  plan.analyses = std::move(preds);
-
-  if (plan.has_star) {
-    plan.tables = BuildStarTables(plan.matrices, plan.star);
-  } else {
-    plan.tables = BuildStarFreeTables(plan.matrices);
-  }
-  if (!options.enable_next) DegradeNext(&plan.tables);
-  return plan;
-}
-
 }  // namespace
 
 StatusOr<PatternPlan> CompilePattern(const CompiledQuery& query,
@@ -74,23 +51,22 @@ StatusOr<PatternPlan> CompilePattern(const CompiledQuery& query,
     preds.push_back(
         AnalyzePredicate(el.predicate, query.input_schema, &catalog));
   }
-  CompileOptions gated = options;
-  gated.oracle.gsw.positive_domain &= all_positive;
-  auto plan = Finish(std::move(preds), std::move(star),
-                     std::move(predicates), gated);
+  PatternPlan plan;
+  plan.m = m;
+  plan.star = std::move(star);
+  plan.predicates = std::move(predicates);
+  for (int j = 1; j <= m; ++j) plan.has_star |= plan.star[j];
   plan.anchored_refs = anchored;
-  return plan;
-}
 
-PatternPlan CompileFromAnalyses(std::vector<PredicateAnalysis> preds,
-                                const std::vector<bool>& star0,
-                                const CompileOptions& options) {
-  const int m = static_cast<int>(preds.size());
-  std::vector<bool> star(m + 1, false);
-  for (int i = 0; i < m; ++i) star[i + 1] = star0[i];
-  std::vector<ExprPtr> predicates(m + 1);  // no runtime exprs in this mode
-  return Finish(std::move(preds), std::move(star), std::move(predicates),
-                options);
+  OracleOptions oracle_options = options.oracle;
+  oracle_options.gsw.positive_domain &= all_positive;
+  ImplicationOracle oracle(oracle_options);
+  plan.matrices = BuildThetaPhi(preds, oracle);
+  plan.analyses = std::move(preds);
+  plan.tables = plan.has_star ? BuildStarTables(plan.matrices, plan.star)
+                              : BuildStarFreeTables(plan.matrices);
+  if (!options.enable_next) DegradeNext(&plan.tables);
+  return plan;
 }
 
 std::string PatternPlan::ToString() const {

@@ -59,12 +59,6 @@ struct PatternPlan {
 StatusOr<PatternPlan> CompilePattern(const CompiledQuery& query,
                                      const CompileOptions& options = {});
 
-/// Lower-level entry for tests and benchmarks: build the plan directly
-/// from predicate analyses and star flags (0-based inputs).
-PatternPlan CompileFromAnalyses(std::vector<PredicateAnalysis> preds,
-                                const std::vector<bool>& star0,
-                                const CompileOptions& options = {});
-
 }  // namespace sqlts
 
 #endif  // SQLTS_PATTERN_COMPILE_H_

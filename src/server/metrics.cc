@@ -2,25 +2,6 @@
 
 namespace sqlts {
 
-Json ReplicationMetrics::Snapshot() const {
-  Json o = Json::Obj();
-  o.Set("entries_appended", Json::Int(entries_appended.load()));
-  o.Set("entries_committed", Json::Int(entries_committed.load()));
-  o.Set("entries_dropped", Json::Int(entries_dropped.load()));
-  o.Set("entries_delayed", Json::Int(entries_delayed.load()));
-  o.Set("entries_retransmitted", Json::Int(entries_retransmitted.load()));
-  o.Set("stale_entries_ignored", Json::Int(stale_entries_ignored.load()));
-  o.Set("heartbeats_sent", Json::Int(heartbeats_sent.load()));
-  o.Set("failovers", Json::Int(failovers.load()));
-  o.Set("lagging_promotions", Json::Int(lagging_promotions.load()));
-  o.Set("rows_replayed", Json::Int(rows_replayed.load()));
-  o.Set("rows_deduplicated", Json::Int(rows_deduplicated.load()));
-  o.Set("standbys_active", Json::Int(standbys_active.load()));
-  o.Set("committed_index", Json::Int(committed_index.load()));
-  o.Set("output_watermark", Json::Int(output_watermark.load()));
-  return o;
-}
-
 Json ServerMetrics::Snapshot(const MultiQueryStats* live) const {
   Json o = Json::Obj();
   Json sessions = Json::Obj();
@@ -51,8 +32,6 @@ Json ServerMetrics::Snapshot(const MultiQueryStats* live) const {
   storage.Set("blocks_skipped", Json::Int(storage_blocks_skipped.load()));
   storage.Set("bytes_read", Json::Int(storage_bytes_read.load()));
   o.Set("storage", std::move(storage));
-
-  o.Set("replication", replication.Snapshot());
 
   MultiQueryStats total;
   int64_t runs;

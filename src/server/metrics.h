@@ -12,37 +12,6 @@
 
 namespace sqlts {
 
-/// Replication-layer counters and gauges (src/replication/), updated
-/// lock-free by the cluster driver and snapshotted into the METRICS
-/// reply next to the service counters.  The gauges make failover state
-/// observable: `standbys_active` drops when a primary is promoted,
-/// `committed_index`/`output_watermark` advance monotonically, and
-/// `rows_deduplicated` counts the replayed rows the output watermark
-/// suppressed — the externally visible half of the exactly-once
-/// argument (docs/REPLICATION.md).
-struct ReplicationMetrics {
-  // Log traffic.
-  std::atomic<int64_t> entries_appended{0};
-  std::atomic<int64_t> entries_committed{0};
-  std::atomic<int64_t> entries_dropped{0};      // transport chaos
-  std::atomic<int64_t> entries_delayed{0};
-  std::atomic<int64_t> entries_retransmitted{0};
-  std::atomic<int64_t> stale_entries_ignored{0};  // reordered/duplicate
-  std::atomic<int64_t> heartbeats_sent{0};
-  // Failover lifecycle.
-  std::atomic<int64_t> failovers{0};
-  std::atomic<int64_t> lagging_promotions{0};
-  std::atomic<int64_t> rows_replayed{0};
-  std::atomic<int64_t> rows_deduplicated{0};
-  // Gauges.
-  std::atomic<int64_t> standbys_active{0};
-  std::atomic<int64_t> committed_index{0};
-  std::atomic<int64_t> output_watermark{0};
-
-  /// One JSON object with every counter above.
-  Json Snapshot() const;
-};
-
 /// Live service counters, updated lock-free on the hot paths and
 /// snapshotted into the METRICS reply (catalog in docs/SERVER.md).
 /// Gauges must return to their idle values after a drain — the metrics
@@ -72,8 +41,6 @@ struct ServerMetrics {
   std::atomic<int64_t> storage_blocks_total{0};
   std::atomic<int64_t> storage_blocks_skipped{0};
   std::atomic<int64_t> storage_bytes_read{0};
-  // Replicated-stream counters (zero while no cluster runs in-process).
-  ReplicationMetrics replication;
 
   /// Raises sessions_peak to at least `active` (call after increment).
   void NotePeak(int64_t active) {

@@ -1,8 +1,6 @@
 #include "testing/fault_injector.h"
 
-#include <algorithm>
 #include <stdexcept>
-#include <utility>
 
 namespace sqlts {
 namespace fuzz {
@@ -69,115 +67,6 @@ int64_t FaultInjector::injected_at(std::string_view site) const {
   ts::MutexLock lock(mu_);
   auto it = per_site_.find(std::string(site));
   return it == per_site_.end() ? 0 : it->second;
-}
-
-FailoverSchedule MakeFailoverSchedule(uint64_t seed, int64_t source_rows) {
-  uint64_t state = seed ^ 0xfa110e45c4ed1eULL;
-  auto next = [&] { return SplitMix64(&state); };
-  FailoverSchedule s;
-  s.cluster.seed = next();
-  s.cluster.num_standbys = 2 + static_cast<int>(next() % 2);  // 2..3
-  s.cluster.checkpoint_interval = 2 + static_cast<int64_t>(next() % 14);
-  s.cluster.heartbeat_interval = 1 + static_cast<int64_t>(next() % 4);
-  s.cluster.lease_ticks =
-      2 * s.cluster.heartbeat_interval + static_cast<int64_t>(next() % 8);
-  // Chaotic transport on roughly half the schedules, so clean links stay
-  // represented; delays create a natural reorder window.
-  if (next() % 2 == 0) {
-    s.cluster.transport.drop_prob = 0.05 + 0.3 * (next() % 1000) / 1000.0;
-  }
-  if (next() % 2 == 0) {
-    s.cluster.transport.delay_prob = 0.05 + 0.3 * (next() % 1000) / 1000.0;
-    s.cluster.transport.max_delay_ticks = 1 + static_cast<int64_t>(next() % 5);
-  }
-  // 1..num_standbys kills (each consumes one standby) at distinct
-  // offsets strictly inside the stream.
-  const int kills =
-      1 + static_cast<int>(next() % static_cast<uint64_t>(
-                                        s.cluster.num_standbys));
-  std::vector<int64_t> offsets;
-  const int64_t span = std::max<int64_t>(1, source_rows);
-  for (int k = 0; k < kills; ++k) {
-    const int64_t off = static_cast<int64_t>(next() % span);
-    bool dup = false;
-    for (int64_t o : offsets) dup = dup || o == off;
-    if (!dup) offsets.push_back(off);
-  }
-  std::sort(offsets.begin(), offsets.end());
-  for (int64_t off : offsets) {
-    FailoverEvent e;
-    e.kill_offset = off;
-    e.promotion_draw = next();
-    e.allow_lagging = next() % 4 == 0;
-    s.events.push_back(e);
-  }
-  return s;
-}
-
-namespace {
-
-/// Copies out everything a finished (or failed) cluster observed.
-FailoverRunResult HarvestResult(Status status,
-                                const replication::ReplicatedCluster& cluster,
-                                int num_channels) {
-  FailoverRunResult r;
-  r.status = std::move(status);
-  for (int c = 0; c < num_channels; ++c) {
-    r.rows.push_back(cluster.sink(c).delivered());
-  }
-  r.stats_fingerprint = cluster.StatsFingerprint();
-  r.failovers = cluster.failovers();
-  r.duplicates_dropped = cluster.duplicates_dropped();
-  r.counters = cluster.counters();
-  return r;
-}
-
-}  // namespace
-
-FailoverRunResult RunFailoverSchedule(const replication::EngineFactory& factory,
-                                      int num_channels,
-                                      const std::vector<Row>& source,
-                                      const FailoverSchedule& schedule,
-                                      ReplicationMetrics* metrics) {
-  replication::ReplicatedCluster cluster(factory, num_channels, &source,
-                                         schedule.cluster, metrics);
-  Status status = cluster.Start();
-  size_t event = 0;
-  while (status.ok() && cluster.position() < cluster.source_size()) {
-    if (event < schedule.events.size() &&
-        cluster.position() >= schedule.events[event].kill_offset) {
-      status = cluster.KillPrimary();
-      if (status.ok()) {
-        status = cluster
-                     .Promote(schedule.events[event].promotion_draw,
-                              schedule.events[event].allow_lagging)
-                     .status();
-      }
-      ++event;
-      continue;
-    }
-    status = cluster.Step();
-  }
-  if (status.ok()) status = cluster.Finish();
-  return HarvestResult(std::move(status), cluster, num_channels);
-}
-
-FailoverRunResult RunUninterrupted(const replication::EngineFactory& factory,
-                                   int num_channels,
-                                   const std::vector<Row>& source,
-                                   const replication::ClusterOptions& options) {
-  replication::ClusterOptions oracle = options;
-  oracle.num_standbys = 0;
-  oracle.quorum_acks = 0;
-  oracle.transport = replication::TransportOptions{};
-  replication::ReplicatedCluster cluster(factory, num_channels, &source,
-                                         oracle, nullptr);
-  Status status = cluster.Start();
-  while (status.ok() && cluster.position() < cluster.source_size()) {
-    status = cluster.Step();
-  }
-  if (status.ok()) status = cluster.Finish();
-  return HarvestResult(std::move(status), cluster, num_channels);
 }
 
 }  // namespace fuzz

@@ -5,11 +5,9 @@
 #include <map>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/governance.h"
 #include "common/thread_annotations.h"
-#include "replication/cluster.h"
 
 namespace sqlts {
 namespace fuzz {
@@ -67,64 +65,6 @@ class FaultInjector {
   int64_t injected_ GUARDED_BY(mu_) = 0;
   std::map<std::string, int64_t> per_site_ GUARDED_BY(mu_);
 };
-
-/// One primary failure within a failover schedule: kill the primary
-/// after the cluster has consumed `kill_offset` source tuples, then
-/// promote the standby selected by `promotion_draw` (uniform within the
-/// eligible set).  With `allow_lagging` any surviving standby is
-/// eligible, not just the most caught-up ones — the hardest case for
-/// exactly-once, since the promoted node replays a longer suffix.
-struct FailoverEvent {
-  int64_t kill_offset = 0;
-  uint64_t promotion_draw = 0;
-  bool allow_lagging = false;
-};
-
-/// A complete multi-node chaos schedule: cluster topology and cadences,
-/// transport chaos (drop/delay/reorder of replication log entries), and
-/// the ordered primary-kill events.  Everything is a pure function of
-/// the seed that produced it, so any run reproduces from one integer.
-struct FailoverSchedule {
-  replication::ClusterOptions cluster;
-  std::vector<FailoverEvent> events;  // ordered by kill_offset
-};
-
-/// Derives a randomized schedule from `seed` for a stream of
-/// `source_rows` tuples: 1..num_standbys kills at distinct offsets,
-/// random checkpoint/heartbeat/lease cadences, and transport chaos
-/// (each active with probability ~1/2 so clean-transport schedules stay
-/// in the mix).
-FailoverSchedule MakeFailoverSchedule(uint64_t seed, int64_t source_rows);
-
-/// What one scheduled (or oracle) run produced and observed.
-struct FailoverRunResult {
-  Status status = Status::OK();
-  /// Per-channel delivered rows, exactly-once (post-dedup).
-  std::vector<std::vector<Row>> rows;
-  /// Deterministic matcher-stats rendering of the final primary.
-  std::string stats_fingerprint;
-  int failovers = 0;
-  int64_t duplicates_dropped = 0;
-  replication::ReplicationCounters counters;
-};
-
-/// Drives one ReplicatedCluster through `schedule`: steps the stream,
-/// kills the primary at each event's offset, promotes per the event's
-/// draw, and finishes.  The result must be bit-identical (rows and
-/// stats) to RunUninterrupted on the same factory and source.
-FailoverRunResult RunFailoverSchedule(const replication::EngineFactory& factory,
-                                      int num_channels,
-                                      const std::vector<Row>& source,
-                                      const FailoverSchedule& schedule,
-                                      ReplicationMetrics* metrics = nullptr);
-
-/// The oracle: the same engine on the same stream with no standbys, no
-/// chaos, and no kills (checkpoint cadence retained — checkpointing is
-/// output-invariant and keeping it exercises the flush path).
-FailoverRunResult RunUninterrupted(const replication::EngineFactory& factory,
-                                   int num_channels,
-                                   const std::vector<Row>& source,
-                                   const replication::ClusterOptions& options);
 
 }  // namespace fuzz
 }  // namespace sqlts

@@ -18,7 +18,9 @@
 namespace sqlts {
 namespace {
 
+using testing_util::kPortfolioQuery;
 using testing_util::MustPlan;
+using testing_util::PortfolioStream;
 
 Row QuoteRow(const std::string& name, Date d, double price) {
   return {Value::String(name), Value::FromDate(d), Value::Double(price)};
@@ -255,28 +257,6 @@ TEST(MatcherCheckpoint, RestoreRequiresFreshMatcher) {
 // Executor-level kill and restore.
 // ---------------------------------------------------------------------------
 
-const char kPortfolioQuery[] =
-    "SELECT X.name, FIRST(Y).date, COUNT(Y) FROM quote "
-    "CLUSTER BY name SEQUENCE BY date AS (X, *Y, Z) "
-    "WHERE Y.price < Y.previous.price AND Z.price >= "
-    "Z.previous.price AND Z.price < 0.97 * X.price";
-
-std::vector<Row> PortfolioStream(int n) {
-  std::vector<Row> rows;
-  std::vector<std::string> names = {"A", "B", "C"};
-  std::vector<double> price = {50, 43, 61};
-  std::vector<Date> day = {Date(10000), Date(10000), Date(10000)};
-  uint64_t rng = 0x9e3779b97f4a7c15ULL;
-  for (int i = 0; i < n; ++i) {
-    rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
-    int s = static_cast<int>((rng >> 33) % 3);
-    price[s] *= 1.0 + (static_cast<double>((rng >> 13) % 9) - 4.0) / 100.0;
-    rows.push_back(QuoteRow(names[s], day[s], price[s]));
-    day[s] = day[s].AddDays(1);
-  }
-  return rows;
-}
-
 std::string RowsToString(const std::vector<Row>& rows) {
   std::string out;
   for (const Row& r : rows) {
@@ -288,7 +268,8 @@ std::string RowsToString(const std::vector<Row>& rows) {
 
 /// Pushes `rows[0..k)`, checkpoints, destroys the executor, restores a
 /// fresh one at `restore_threads` and pushes the rest.  Returns the
-/// concatenated output; also reports the checkpoint bytes.
+/// concatenated output plus the final match count and output
+/// watermark; also reports the checkpoint bytes.
 std::string KillAndRestore(const std::vector<Row>& rows, int k,
                            int checkpoint_threads, int restore_threads,
                            std::string* bytes_out = nullptr) {
@@ -304,6 +285,7 @@ std::string KillAndRestore(const std::vector<Row>& rows, int k,
   SQLTS_CHECK_OK((*exec)->Checkpoint(&bytes));
   SQLTS_CHECK((*exec)->rows_consumed() == k);
   (*exec).reset();  // the "kill": all in-memory state is gone
+  const size_t delivered_before_kill = got.size();
 
   options.num_threads = restore_threads;
   auto resumed = StreamingQueryExecutor::Create(kPortfolioQuery, QuoteSchema(),
@@ -311,13 +293,20 @@ std::string KillAndRestore(const std::vector<Row>& rows, int k,
   SQLTS_CHECK(resumed.ok()) << resumed.status();
   SQLTS_CHECK_OK((*resumed)->Restore(bytes));
   SQLTS_CHECK((*resumed)->rows_consumed() == k);
+  // The output watermark resumes exactly where the killed run stopped.
+  SQLTS_CHECK((*resumed)->rows_emitted() ==
+              static_cast<int64_t>(delivered_before_kill))
+      << "k=" << k << " restored watermark "
+      << (*resumed)->rows_emitted() << " vs " << delivered_before_kill
+      << " rows delivered before the kill";
   for (size_t i = k; i < rows.size(); ++i) {
     SQLTS_CHECK_OK((*resumed)->Push(rows[i]));
   }
   SQLTS_CHECK_OK((*resumed)->Finish());
   if (bytes_out != nullptr) *bytes_out = bytes;
   return RowsToString(got) + "matches=" +
-         std::to_string((*resumed)->stats().matches);
+         std::to_string((*resumed)->stats().matches) +
+         " emitted=" + std::to_string((*resumed)->rows_emitted());
 }
 
 TEST(ExecutorCheckpoint, KillAndRestoreMatchesUninterruptedRun) {
@@ -330,9 +319,11 @@ TEST(ExecutorCheckpoint, KillAndRestoreMatchesUninterruptedRun) {
   ASSERT_TRUE(oracle.ok()) << oracle.status();
   for (const Row& r : rows) ASSERT_TRUE((*oracle)->Push(r).ok());
   ASSERT_TRUE((*oracle)->Finish().ok());
+  // The resumed run's final watermark must equal the oracle's row count.
   const std::string expected =
       RowsToString(oracle_rows) + "matches=" +
-      std::to_string((*oracle)->stats().matches);
+      std::to_string((*oracle)->stats().matches) +
+      " emitted=" + std::to_string(oracle_rows.size());
   ASSERT_GT(oracle_rows.size(), 0u) << "vacuous fixture";
 
   for (int k : {0, 1, 37, 120, 239, 240}) {

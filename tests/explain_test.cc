@@ -16,7 +16,6 @@ TEST(Explain, Example10ReportContainsEverything) {
   EXPECT_NE(s.find("ratio atom"), std::string::npos);
   EXPECT_NE(s.find("shift"), std::string::npos);
   EXPECT_NE(s.find("next"), std::string::npos);
-  EXPECT_NE(s.find("direction heuristic"), std::string::npos);
   EXPECT_NE(s.find("output:"), std::string::npos);
 }
 

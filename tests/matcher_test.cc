@@ -2,6 +2,7 @@
 // the central correctness property of the reproduction: OPS must return
 // exactly the matches of the naive backtracking search.
 
+#include <ostream>
 #include <random>
 
 #include <gtest/gtest.h>
@@ -135,6 +136,10 @@ struct EquivCase {
   const char* name;
   const char* query;
 };
+
+// Print a case by its label. The default printer dumps the two pointers,
+// and the test names derived from it change with every load address.
+void PrintTo(const EquivCase& c, std::ostream* os) { *os << c.name; }
 
 class OpsEquivalence : public ::testing::TestWithParam<EquivCase> {};
 

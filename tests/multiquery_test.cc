@@ -11,6 +11,7 @@
 #include <thread>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/executor.h"
@@ -21,6 +22,7 @@
 #include "multiquery/predicate_catalog.h"
 #include "multiquery/queryset_lint.h"
 #include "multiquery/shared_cache.h"
+#include "test_util.h"
 #include "workload/generators.h"
 
 namespace sqlts {
@@ -379,6 +381,122 @@ TEST(MultiQueryStream, CheckpointRestoreReinstatesTheRegisteredSet) {
                                return [](const Row&) {};
                              })
                    .ok());
+}
+
+/// Rows per query and each query's output watermark after one run.
+struct MultiStreamOutput {
+  std::vector<std::vector<std::string>> rows;
+  std::vector<int64_t> emitted;
+
+  MultiStreamExecutor::RowCallback Sink(int index) {
+    return [this, index](const Row& row) {
+      rows[index].push_back(RowString(row));
+    };
+  }
+};
+
+std::unique_ptr<MultiStreamExecutor> MakeMultiStream(int threads) {
+  ExecOptions options;
+  options.num_threads = threads;
+  auto multi = MultiStreamExecutor::Create(QuoteSchema(), options);
+  SQLTS_CHECK(multi.ok()) << multi.status();
+  return std::move(*multi);
+}
+
+void CollectWatermarks(const MultiStreamExecutor& multi,
+                       MultiStreamOutput* out) {
+  out->emitted.clear();
+  for (size_t i = 0; i < out->rows.size(); ++i) {
+    auto emitted = multi.rows_emitted(static_cast<int>(i));
+    SQLTS_CHECK(emitted.ok()) << emitted.status();
+    out->emitted.push_back(*emitted);
+  }
+}
+
+/// Pushes `rows[0..k)` through a `checkpoint_threads` executor running
+/// `queries`, checkpoints and destroys it, restores a fresh one at
+/// `restore_threads` and drains the rest.  Asserts that every restored
+/// watermark equals the rows its query delivered before the kill.
+MultiStreamOutput KillAndRestoreMulti(const std::vector<std::string>& queries,
+                                      const std::vector<Row>& rows, int k,
+                                      int checkpoint_threads,
+                                      int restore_threads) {
+  MultiStreamOutput out;
+  out.rows.resize(queries.size());
+  std::string bytes;
+  std::vector<size_t> delivered_before_kill;
+  {
+    auto multi = MakeMultiStream(checkpoint_threads);
+    for (size_t i = 0; i < queries.size(); ++i) {
+      SQLTS_CHECK_OK(
+          multi->AddQuery(queries[i], out.Sink(static_cast<int>(i))).status());
+    }
+    for (int i = 0; i < k; ++i) SQLTS_CHECK_OK(multi->Push(rows[i]));
+    SQLTS_CHECK_OK(multi->Checkpoint(&bytes));
+    for (const auto& r : out.rows) delivered_before_kill.push_back(r.size());
+  }  // the "kill": all in-memory state is gone
+
+  auto restored = MakeMultiStream(restore_threads);
+  SQLTS_CHECK_OK(restored->Restore(
+      bytes,
+      [&out](int index, const std::string&) { return out.Sink(index); }));
+  SQLTS_CHECK(restored->rows_consumed() == k);
+  CollectWatermarks(*restored, &out);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    SQLTS_CHECK(out.emitted[i] ==
+                static_cast<int64_t>(delivered_before_kill[i]))
+        << "query #" << i << " k=" << k << ": restored watermark "
+        << out.emitted[i] << " vs " << delivered_before_kill[i]
+        << " rows delivered before the kill";
+  }
+  for (size_t i = k; i < rows.size(); ++i) {
+    SQLTS_CHECK_OK(restored->Push(rows[i]));
+  }
+  SQLTS_CHECK_OK(restored->Finish());
+  CollectWatermarks(*restored, &out);
+  return out;
+}
+
+TEST(MultiQueryStream, KillAndRestoreAcrossThreadCountsKeepsWatermarks) {
+  const char kRallyQuery[] =
+      "SELECT X.name, X.price, Z.price FROM quote "
+      "CLUSTER BY name SEQUENCE BY date AS (X, Y, Z) "
+      "WHERE Y.price > X.price AND Z.price > Y.price";
+  const std::vector<std::string> queries = {testing_util::kPortfolioQuery,
+                                            kRallyQuery};
+  const std::vector<Row> rows = testing_util::PortfolioStream(240);
+
+  // Uninterrupted single-threaded oracle.
+  MultiStreamOutput oracle;
+  oracle.rows.resize(queries.size());
+  auto multi = MakeMultiStream(1);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_TRUE(multi->AddQuery(queries[i], oracle.Sink(static_cast<int>(i)))
+                    .ok());
+  }
+  for (const Row& r : rows) ASSERT_TRUE(multi->Push(r).ok());
+  ASSERT_TRUE(multi->Finish().ok());
+  CollectWatermarks(*multi, &oracle);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_GT(oracle.rows[i].size(), 0u) << "vacuous fixture, query #" << i;
+    ASSERT_EQ(oracle.emitted[i],
+              static_cast<int64_t>(oracle.rows[i].size()));
+  }
+
+  for (int k : {0, 111, 240}) {
+    for (auto [from, to] : {std::pair{1, 4}, std::pair{4, 1}}) {
+      const MultiStreamOutput run =
+          KillAndRestoreMulti(queries, rows, k, from, to);
+      for (size_t i = 0; i < queries.size(); ++i) {
+        EXPECT_EQ(run.rows[i], oracle.rows[i])
+            << "query #" << i << " k=" << k << " threads " << from << "->"
+            << to;
+        EXPECT_EQ(run.emitted[i], oracle.emitted[i])
+            << "query #" << i << " k=" << k << " threads " << from << "->"
+            << to;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -768,6 +768,22 @@ TEST(ServerMetricsTest, SnapshotRacesWritersWithoutTearing) {
             kWriters * kPerWriter);
 }
 
+/// Pins the METRICS wire shape: the top-level blocks of
+/// ServerMetrics::Snapshot() are exactly the ones docs/SERVER.md §5
+/// documents (the server adds `per_session` on top).  Adding, removing
+/// or renaming a block is a wire change and must update both.
+TEST(ServerMetricsTest, SnapshotTopLevelKeysAreTheDocumentedOnes) {
+  ServerMetrics metrics;
+  const Json snap = metrics.Snapshot();
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : snap.object()) {
+    keys.push_back(key);
+  }
+  EXPECT_EQ(keys, (std::vector<std::string>{"errors_by_code", "queries",
+                                            "sessions", "storage", "wire",
+                                            "workload"}));
+}
+
 TEST(ServerMetricsTest, AbruptDisconnectStillDrains) {
   Server::Options options;
   options.stream_delay_us = 2000;

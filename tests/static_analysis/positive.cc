@@ -8,8 +8,6 @@
 #include "engine/stream_executor.h"
 #include "multiquery/multi_stream.h"
 #include "multiquery/shared_cache.h"
-#include "replication/cluster.h"
-#include "replication/log.h"
 #include "server/metrics.h"
 #include "server/registry.h"
 #include "server/server.h"

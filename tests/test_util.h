@@ -45,6 +45,33 @@ struct SeriesFixture {
   SequenceView view() const { return SequenceView(&table, rows); }
 };
 
+/// Clustered Example-style query over PortfolioStream: a falling run
+/// followed by a rebound that stays 3% under the run's start.
+inline constexpr char kPortfolioQuery[] =
+    "SELECT X.name, FIRST(Y).date, COUNT(Y) FROM quote "
+    "CLUSTER BY name SEQUENCE BY date AS (X, *Y, Z) "
+    "WHERE Y.price < Y.previous.price AND Z.price >= "
+    "Z.previous.price AND Z.price < 0.97 * X.price";
+
+/// `n` quote rows interleaving three instruments ("A", "B", "C") with a
+/// seeded random walk, so kPortfolioQuery matches in every cluster.
+inline std::vector<Row> PortfolioStream(int n) {
+  std::vector<Row> rows;
+  std::vector<std::string> names = {"A", "B", "C"};
+  std::vector<double> price = {50, 43, 61};
+  std::vector<Date> day = {Date(10000), Date(10000), Date(10000)};
+  uint64_t rng = 0x9e3779b97f4a7c15ULL;
+  for (int i = 0; i < n; ++i) {
+    rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+    int s = static_cast<int>((rng >> 33) % 3);
+    price[s] *= 1.0 + (static_cast<double>((rng >> 13) % 9) - 4.0) / 100.0;
+    rows.push_back({Value::String(names[s]), Value::FromDate(day[s]),
+                    Value::Double(price[s])});
+    day[s] = day[s].AddDays(1);
+  }
+  return rows;
+}
+
 /// Renders matches compactly for failure messages.
 inline std::string MatchesToString(const std::vector<Match>& ms) {
   std::string out;
