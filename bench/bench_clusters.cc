@@ -1,7 +1,7 @@
 // E12 (extra) — CLUSTER BY scaling: per-cluster independence means cost
 // scales linearly in total rows regardless of how they are partitioned,
-// and makes clusters embarrassingly parallel: E12b sweeps the sharded
-// executor's thread count over a many-cluster portfolio.
+// and makes clusters embarrassingly parallel: E12b sweeps the batch
+// cluster loop's thread count over a many-cluster portfolio.
 
 #include <chrono>
 #include <cstdio>
@@ -58,20 +58,20 @@ const char kSweepQuery[] =
     "Z.price < 0.98 * Y.price";
 
 void RunThreadSweep() {
-  // 128 clusters x 2000 rows: enough independent work that the sharded
-  // executor's speedup is limited by cores, not by cluster count
+  // 128 clusters x 2000 rows: enough independent work that the parallel
+  // cluster loop's speedup is limited by cores, not by cluster count
   // (expect near-linear scaling on multi-core hosts; a single-core
   // container pins every thread count to ~1x).
   const int kStocks = 128;
   const int64_t kPer = 2000;
-  PrintHeader("E12b: sharded execution thread sweep (128 clusters, 256k rows)");
+  PrintHeader("E12b: parallel batch thread sweep (128 clusters, 256k rows)");
   Table t = Portfolio(kStocks, kPer, 20'000);
   auto query = CompileQueryText(kSweepQuery, t.schema());
   SQLTS_CHECK_OK(query.status());
 
   std::printf("%-9s %-10s %-12s %-10s %-9s %-11s %-10s\n", "threads",
               "wall_ms", "tuples/s", "speedup", "matches", "identical",
-              "queue_hw");
+              "workers");
   double base_ms = 0;
   std::string base_rows;
   for (int threads : {1, 2, 4, 8}) {
@@ -95,17 +95,13 @@ void RunThreadSweep() {
       base_ms = ms;
       base_rows = rows;
     }
-    int64_t queue_hw = 0;
-    for (const ShardStats& s : r->shard_stats) {
-      queue_hw = std::max(queue_hw, s.queue_high_water);
-    }
-    std::printf("%-9d %-10.2f %-12.0f %-10.2f %-9lld %-11s %-10lld\n",
+    const size_t workers = std::max<size_t>(1, r->shard_stats.size());
+    std::printf("%-9d %-10.2f %-12.0f %-10.2f %-9lld %-11s %-10zu\n",
                 threads, ms,
                 static_cast<double>(t.num_rows()) * 1000.0 / ms,
                 base_ms / ms,
                 static_cast<long long>(r->stats.matches),
-                rows == base_rows ? "yes" : "NO",
-                static_cast<long long>(queue_hw));
+                rows == base_rows ? "yes" : "NO", workers);
   }
 }
 

@@ -246,6 +246,17 @@ std::string SummarizeErrors(const LintResult& result) {
   return out;
 }
 
+Status RefuseProvablyEmpty(const CompiledQuery& query,
+                           const CompileOptions& options) {
+  if (!options.refuse_provably_empty) return Status::OK();
+  LintOptions lint_options;
+  lint_options.oracle = options.oracle;
+  LintResult lint = LintQuery(query, lint_options);
+  if (!lint.has_errors()) return Status::OK();
+  return Status::InvalidArgument("query is provably empty: " +
+                                 SummarizeErrors(lint));
+}
+
 LintResult LintQuery(const CompiledQuery& q, const LintOptions& options) {
   LintResult out;
   const int m = q.pattern_length();

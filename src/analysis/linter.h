@@ -8,6 +8,7 @@
 #include "analysis/diagnostic.h"
 #include "common/statusor.h"
 #include "parser/analyzer.h"
+#include "pattern/compile.h"
 #include "pattern/theta_phi.h"
 
 namespace sqlts {
@@ -68,6 +69,12 @@ StatusOr<LintResult> LintQueryText(std::string_view text,
 
 /// "[E001] message; [E003] message" — for refusal Status messages.
 std::string SummarizeErrors(const LintResult& result);
+
+/// The executors' CompileOptions::refuse_provably_empty gate: OK unless
+/// that option is set and the linter proves the query returns zero
+/// rows, which yields InvalidArgument("query is provably empty: ...").
+Status RefuseProvablyEmpty(const CompiledQuery& query,
+                           const CompileOptions& options);
 
 }  // namespace sqlts
 

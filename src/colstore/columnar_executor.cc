@@ -1,15 +1,13 @@
 #include "colstore/columnar_executor.h"
 
-#include <algorithm>
-#include <atomic>
 #include <cctype>
 #include <memory>
 #include <numeric>
-#include <thread>
 
 #include "analysis/linter.h"
 #include "colstore/probe_planner.h"
 #include "colstore/zone_skip.h"
+#include "engine/cluster_loop.h"
 #include "engine/explain.h"
 #include "engine/vectorized_eval.h"
 
@@ -54,113 +52,6 @@ std::vector<uint64_t> BuildCandidates(const ProbePlan& pplan,
   return words;
 }
 
-/// Hoisted cluster filters, decided from the stored cluster key alone:
-/// the filters reference only CLUSTER BY columns (constant over the
-/// cluster), so evaluating them on a synthetic one-row table — key
-/// values in the cluster columns, NULL elsewhere — yields exactly the
-/// verdict ClusterAccepted computes on the cluster's first tuple
-/// (out-of-range navigation reads NULL in both).
-StatusOr<bool> ClusterKeyAccepted(const CompiledQuery& query,
-                                  const Schema& schema,
-                                  const std::vector<int>& cluster_cols,
-                                  const Row& key) {
-  if (query.cluster_filters.empty()) return true;
-  Table key_table(schema);
-  Row row(schema.num_columns());
-  for (size_t k = 0; k < cluster_cols.size() && k < key.size(); ++k) {
-    row[cluster_cols[k]] = key[k];
-  }
-  SQLTS_RETURN_IF_ERROR(key_table.AppendRow(std::move(row)));
-  SequenceView view(&key_table, std::vector<int64_t>{0});
-  return ClusterAccepted(query, view);
-}
-
-struct FastPathState {
-  ColumnarReader* reader;
-  const ColumnarFooter* footer;
-  const ColumnarExecOptions* options;
-  const ProbePlan* pplan;
-  const PatternPlan* plan;
-  const ZoneSkipper* skipper;        // null when skipping disabled
-  const VectorizedPlanEval* vec;     // null when vectorization is off
-  std::vector<int> cluster_cols;
-};
-
-/// Matches one cluster: filter by key, skip refuted clusters/blocks,
-/// decode kept segments, search each independently.  `remaining`, when
-/// non-null, carries the LIMIT budget (sequential execution only).
-Status RunCluster(const FastPathState& st, int ci, std::vector<Row>* rows,
-                  SearchStats* stats, KernelScratch* scratch,
-                  int64_t* remaining) {
-  const ClusterMeta& cm = st.footer->clusters[ci];
-  const CompiledQuery& query = st.pplan->query;
-  SQLTS_ASSIGN_OR_RETURN(
-      bool accepted,
-      ClusterKeyAccepted(query, st.footer->schema, st.cluster_cols, cm.key));
-  if (!accepted) {
-    stats->blocks_skipped += cm.num_blocks;
-    return Status::OK();
-  }
-  ZoneDecision dec;
-  if (st.skipper != nullptr && st.skipper->enabled()) {
-    dec = st.skipper->DecideCluster(ci);
-  } else {
-    dec.skip_block.assign(cm.num_blocks, false);
-  }
-  if (dec.skip_cluster) {
-    stats->blocks_skipped += cm.num_blocks;
-    return Status::OK();
-  }
-
-  for (int b = 0; b < cm.num_blocks;) {
-    if (dec.skip_block[b]) {
-      ++stats->blocks_skipped;
-      ++b;
-      continue;
-    }
-    if (remaining != nullptr && *remaining <= 0) return Status::OK();
-    int eb = b;
-    while (eb + 1 < cm.num_blocks && !dec.skip_block[eb + 1]) ++eb;
-    SQLTS_ASSIGN_OR_RETURN(
-        Table segment,
-        st.reader->ReadBlockRange(cm.first_block + b, eb - b + 1));
-    std::vector<int64_t> idx(segment.num_rows());
-    std::iota(idx.begin(), idx.end(), 0);
-    SequenceView seq(&segment, std::move(idx));
-
-    SearchOptions sopts;
-    sopts.governance = &st.options->exec.governance;
-    // Verdict caches are per absolute position, so each decoded
-    // segment (its own SequenceView) gets a fresh evaluator.
-    std::unique_ptr<ElementEvaluator> vec_eval;
-    if (st.vec != nullptr) {
-      vec_eval = st.vec->MakeEvaluator();
-      sopts.evaluator = vec_eval.get();
-    }
-    std::vector<uint64_t> candidates;
-    if (st.pplan->anchor_kernel != nullptr) {
-      candidates = BuildCandidates(*st.pplan, seq, scratch);
-      sopts.candidate_starts = &candidates;
-    }
-    if (remaining != nullptr) sopts.max_matches = *remaining;
-
-    SearchStats sstats;
-    std::vector<Match> matches =
-        st.options->exec.algorithm == SearchAlgorithm::kOps
-            ? OpsSearch(seq, *st.plan, &sstats, nullptr, sopts)
-            : NaiveSearch(seq, *st.plan, &sstats, nullptr, sopts);
-    *stats += sstats;
-    if (remaining != nullptr) {
-      *remaining -= static_cast<int64_t>(matches.size());
-    }
-    for (const Match& match : matches) {
-      rows->push_back(ProjectMatch(query, seq, match));
-    }
-    b = eb + 1;
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 StatusOr<QueryResult> ColumnarExecutor::ExecuteFile(
@@ -177,15 +68,7 @@ StatusOr<QueryResult> ColumnarExecutor::Execute(
   const ColumnarFooter& footer = reader.footer();
   SQLTS_ASSIGN_OR_RETURN(CompiledQuery query,
                          CompileQueryText(query_text, footer.schema));
-  if (options.exec.compile.refuse_provably_empty) {
-    LintOptions lint_options;
-    lint_options.oracle = options.exec.compile.oracle;
-    LintResult lint = LintQuery(query, lint_options);
-    if (lint.has_errors()) {
-      return Status::InvalidArgument("query is provably empty: " +
-                                     SummarizeErrors(lint));
-    }
-  }
+  SQLTS_RETURN_IF_ERROR(RefuseProvablyEmpty(query, options.exec.compile));
 
   const int64_t bytes_before = reader.bytes_read();
   const bool fast = footer.clustered &&
@@ -244,70 +127,105 @@ StatusOr<QueryResult> ColumnarExecutor::Execute(
   }
   if (pplan.query.limit_zero) return result;
 
-  FastPathState st{&reader,       &footer,   &options, &pplan,
-                   &plan,         skipper.get(), vec.get(), {}};
+  std::vector<int> cluster_cols;
   for (const std::string& name : footer.cluster_by) {
     SQLTS_ASSIGN_OR_RETURN(int col, footer.schema.FindColumn(name));
-    st.cluster_cols.push_back(col);
+    cluster_cols.push_back(col);
   }
 
-  const bool sharded = options.exec.num_threads > 1 && num_clusters > 1 &&
-                       pplan.query.limit <= 0;
-  if (!sharded) {
-    KernelScratch scratch;
-    int64_t remaining = pplan.query.limit;
-    int64_t* budget = pplan.query.limit > 0 ? &remaining : nullptr;
-    for (int ci = 0; ci < num_clusters; ++ci) {
-      if (budget != nullptr && *budget <= 0) break;
-      std::vector<Row> rows;
-      SQLTS_RETURN_IF_ERROR(
-          RunCluster(st, ci, &rows, &result.stats, &scratch, budget));
-      for (Row& row : rows) {
-        SQLTS_RETURN_IF_ERROR(result.output.AppendRow(std::move(row)));
-      }
-      SQLTS_RETURN_IF_ERROR(options.exec.governance.Check());
-    }
-    result.stats.bytes_read += reader.bytes_read() - bytes_before;
-    return result;
-  }
-
-  // Parallel path: workers claim whole clusters; outputs are indexed by
-  // cluster and merged in footer (first-appearance) order, so rows and
-  // summed stats are deterministic regardless of scheduling.
-  const int num_workers =
-      std::min(options.exec.num_threads, num_clusters);
+  // LIMIT budgets span clusters, so LIMIT queries run on one worker.
+  const bool limited = pplan.query.limit > 0;
+  const int workers = ClusterLoopWorkers(
+      limited ? 1 : options.exec.num_threads, num_clusters);
+  std::vector<KernelScratch> scratch(workers);
+  std::vector<SearchStats> worker_stats(workers);
   std::vector<std::vector<Row>> cluster_rows(num_clusters);
-  std::vector<SearchStats> cluster_stats(num_clusters);
-  std::vector<Status> worker_status(num_workers, Status::OK());
-  std::atomic<int> next{0};
-  {
-    std::vector<std::thread> workers;
-    workers.reserve(num_workers);
-    for (int w = 0; w < num_workers; ++w) {
-      workers.emplace_back([&, w] {
-        KernelScratch scratch;
-        int ci;
-        while ((ci = next.fetch_add(1)) < num_clusters) {
-          if (!options.exec.governance.Check().ok()) return;
-          Status s = RunCluster(st, ci, &cluster_rows[ci],
-                                &cluster_stats[ci], &scratch, nullptr);
-          if (!s.ok()) {
-            worker_status[w] = std::move(s);
-            return;
-          }
-        }
-      });
+  // Matches one cluster: filter by key, skip refuted clusters/blocks,
+  // decode kept segments, search each independently.
+  auto body = [&](int ci, int w) -> Status {
+    const ClusterMeta& cm = footer.clusters[ci];
+    SearchStats& stats = worker_stats[w];
+    // LIMIT runs on one worker, whose budget is what earlier clusters
+    // left.
+    int64_t remaining =
+        limited ? pplan.query.limit - result.output.num_rows() : 0;
+    if (limited && remaining <= 0) return Status::OK();
+    // Hoisted cluster filters reference only CLUSTER BY columns
+    // (constant over the cluster), so the stored key — in the cluster
+    // columns, NULL elsewhere — decides them exactly as the cluster's
+    // first tuple would (out-of-range navigation reads NULL in both).
+    Row key_row(footer.schema.num_columns());
+    for (size_t k = 0; k < cluster_cols.size() && k < cm.key.size(); ++k) {
+      key_row[cluster_cols[k]] = cm.key[k];
     }
-    for (std::thread& t : workers) t.join();
-  }
-  for (const Status& s : worker_status) SQLTS_RETURN_IF_ERROR(s);
-  SQLTS_RETURN_IF_ERROR(options.exec.governance.Check());
-  for (int ci = 0; ci < num_clusters; ++ci) {
-    result.stats += cluster_stats[ci];
+    SQLTS_ASSIGN_OR_RETURN(bool accepted,
+                           ClusterAccepted(pplan.query, std::move(key_row)));
+    if (!accepted) {
+      stats.blocks_skipped += cm.num_blocks;
+      return Status::OK();
+    }
+    ZoneDecision dec;
+    if (skipper != nullptr && skipper->enabled()) {
+      dec = skipper->DecideCluster(ci);
+    } else {
+      dec.skip_block.assign(cm.num_blocks, false);
+    }
+    if (dec.skip_cluster) {
+      stats.blocks_skipped += cm.num_blocks;
+      return Status::OK();
+    }
+    for (int b = 0; b < cm.num_blocks;) {
+      if (dec.skip_block[b]) {
+        ++stats.blocks_skipped;
+        ++b;
+        continue;
+      }
+      if (limited && remaining <= 0) return Status::OK();
+      int eb = b;
+      while (eb + 1 < cm.num_blocks && !dec.skip_block[eb + 1]) ++eb;
+      SQLTS_ASSIGN_OR_RETURN(
+          Table segment, reader.ReadBlockRange(cm.first_block + b, eb - b + 1));
+      std::vector<int64_t> idx(segment.num_rows());
+      std::iota(idx.begin(), idx.end(), 0);
+      SequenceView seq(&segment, std::move(idx));
+
+      SearchOptions sopts;
+      sopts.governance = &options.exec.governance;
+      // Verdict caches are per absolute position, so each decoded
+      // segment (its own SequenceView) gets a fresh evaluator.
+      std::unique_ptr<ElementEvaluator> vec_eval;
+      if (vec != nullptr) {
+        vec_eval = vec->MakeEvaluator();
+        sopts.evaluator = vec_eval.get();
+      }
+      std::vector<uint64_t> candidates;
+      if (pplan.anchor_kernel != nullptr) {
+        candidates = BuildCandidates(pplan, seq, &scratch[w]);
+        sopts.candidate_starts = &candidates;
+      }
+      if (limited) sopts.max_matches = remaining;
+      std::vector<Match> matches =
+          options.exec.algorithm == SearchAlgorithm::kOps
+              ? OpsSearch(seq, plan, &stats, nullptr, sopts)
+              : NaiveSearch(seq, plan, &stats, nullptr, sopts);
+      remaining -= static_cast<int64_t>(matches.size());
+      for (const Match& match : matches) {
+        cluster_rows[ci].push_back(ProjectMatch(pplan.query, seq, match));
+      }
+      b = eb + 1;
+    }
+    return Status::OK();
+  };
+  auto merge = [&](int ci) {
     for (Row& row : cluster_rows[ci]) {
       SQLTS_RETURN_IF_ERROR(result.output.AppendRow(std::move(row)));
     }
-  }
+    cluster_rows[ci] = {};
+    return Status::OK();
+  };
+  SQLTS_RETURN_IF_ERROR(RunClusterLoop(num_clusters, workers,
+                                       options.exec.governance, body, merge));
+  for (const SearchStats& ws : worker_stats) result.stats += ws;
   result.stats.bytes_read += reader.bytes_read() - bytes_before;
   return result;
 }

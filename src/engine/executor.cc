@@ -1,8 +1,7 @@
 #include "engine/executor.h"
 
-#include <algorithm>
-
 #include "analysis/linter.h"
+#include "engine/cluster_loop.h"
 #include "engine/vectorized_eval.h"
 #include "storage/csv.h"
 #include "storage/sequence.h"
@@ -37,6 +36,13 @@ bool ClusterAccepted(const CompiledQuery& query, const SequenceView& seq) {
   return true;
 }
 
+StatusOr<bool> ClusterAccepted(const CompiledQuery& query, Row row) {
+  if (query.cluster_filters.empty()) return true;
+  Table one(query.input_schema);
+  SQLTS_RETURN_IF_ERROR(one.AppendRow(std::move(row)));
+  return ClusterAccepted(query, SequenceView(&one, std::vector<int64_t>{0}));
+}
+
 Row ProjectMatch(const CompiledQuery& query, const SequenceView& seq,
                  const Match& match) {
   EvalContext ctx;
@@ -52,80 +58,6 @@ Row ProjectMatch(const CompiledQuery& query, const SequenceView& seq,
   }
   return row;
 }
-
-namespace {
-
-/// Parallel per-cluster execution: clusters are hash-partitioned over a
-/// ShardPool (one task per cluster), each worker matches and projects
-/// its clusters independently, and rows are merged back in cluster
-/// first-appearance order — byte-identical to the sequential path.
-Status ExecuteSharded(const ClusteredSequence& clusters,
-                      const CompiledQuery& query, const ExecOptions& options,
-                      const VectorizedPlanEval* vec, QueryResult* result) {
-  const int num_clusters = clusters.num_clusters();
-  const int num_shards = std::min(options.num_threads, num_clusters);
-  const PatternPlan& plan = result->plan;
-  std::vector<std::vector<Row>> cluster_rows(num_clusters);
-  std::vector<ShardStats> shard_stats(num_shards);
-
-  auto handler = [&](int shard, ShardPool::Task&& task) {
-    const int c = static_cast<int>(task.cluster);
-    const SequenceView& seq = clusters.cluster(c);
-    ShardStats& ss = shard_stats[shard];
-    ++ss.clusters;
-    ss.tuples_pushed += seq.size();
-    // A cancelled/expired query skips remaining clusters; the caller
-    // re-checks governance after the barrier and discards the result.
-    if (!options.governance.Check().ok()) return;
-    if (!ClusterAccepted(query, seq)) return;
-    SearchOptions search_opts;
-    search_opts.governance = &options.governance;
-    std::unique_ptr<ElementEvaluator> vec_eval;
-    if (vec != nullptr) {
-      vec_eval = vec->MakeEvaluator();
-      search_opts.evaluator = vec_eval.get();
-    }
-    SearchStats stats;
-    std::vector<Match> matches =
-        options.algorithm == SearchAlgorithm::kOps
-            ? OpsSearch(seq, plan, &stats, nullptr, search_opts)
-            : NaiveSearch(seq, plan, &stats, nullptr, search_opts);
-    ss.search += stats;
-    std::vector<Row>& out = cluster_rows[c];
-    out.reserve(matches.size());
-    for (const Match& match : matches) {
-      out.push_back(ProjectMatch(query, seq, match));
-    }
-  };
-
-  {
-    ShardPool pool(num_shards, options.shard_queue_capacity, handler);
-    for (int c = 0; c < num_clusters; ++c) {
-      int shard = pool.ShardFor(EncodeClusterKey(clusters.cluster_key(c)));
-      pool.Push(shard,
-                ShardPool::Task{Row{}, static_cast<uint64_t>(c), 0});
-    }
-    pool.Finish();
-    // Exceptions caught at the worker boundary surface here instead of
-    // terminating the process.
-    SQLTS_RETURN_IF_ERROR(pool.first_error());
-    for (int s = 0; s < num_shards; ++s) {
-      shard_stats[s].queue_high_water = pool.queue_high_water(s);
-    }
-  }
-  SQLTS_RETURN_IF_ERROR(options.governance.Check());
-
-  for (int c = 0; c < num_clusters; ++c) {
-    for (Row& row : cluster_rows[c]) {
-      SQLTS_RETURN_IF_ERROR(result->output.AppendRow(std::move(row)));
-    }
-  }
-  result->stats = TotalSearchStats(shard_stats);
-  result->shard_stats = std::move(shard_stats);
-  return Status::OK();
-}
-
-}  // namespace
 
 StatusOr<QueryResult> QueryExecutor::Execute(const Table& input,
                                              std::string_view query_text,
@@ -152,18 +84,7 @@ StatusOr<QueryResult> QueryExecutor::ExecuteCsvFile(
 StatusOr<QueryResult> QueryExecutor::ExecuteCompiled(
     const Table& input, const CompiledQuery& query,
     const ExecOptions& options) {
-  // Static analysis gate: refuse provably-empty queries up front rather
-  // than scanning for matches that cannot exist.
-  if (options.compile.refuse_provably_empty) {
-    LintOptions lint_options;
-    lint_options.oracle = options.compile.oracle;
-    LintResult lint = LintQuery(query, lint_options);
-    if (lint.has_errors()) {
-      return Status::InvalidArgument("query is provably empty: " +
-                                     SummarizeErrors(lint));
-    }
-  }
-
+  SQLTS_RETURN_IF_ERROR(RefuseProvablyEmpty(query, options.compile));
   SQLTS_ASSIGN_OR_RETURN(PatternPlan plan,
                          CompilePattern(query, options.compile));
   SQLTS_ASSIGN_OR_RETURN(
@@ -186,50 +107,58 @@ StatusOr<QueryResult> QueryExecutor::ExecuteCompiled(
     vec = VectorizedPlanEval::Create(result.plan, input.schema());
   }
 
-  // Parallel path: per-cluster matcher state is fully private, so
-  // clusters shard cleanly.  LIMIT (cross-cluster early termination)
-  // and trace collection (a single ordered log) stay sequential.
-  if (options.num_threads > 1 && clusters.num_clusters() > 1 &&
-      query.limit <= 0 && !options.collect_trace) {
-    SQLTS_RETURN_IF_ERROR(
-        ExecuteSharded(clusters, query, options, vec.get(), &result));
-    return result;
-  }
-
-  for (int c = 0; c < clusters.num_clusters(); ++c) {
+  // Per-cluster matcher state is fully private, so clusters run on any
+  // number of workers.  LIMIT (cross-cluster early termination) and
+  // trace collection (a single ordered log) stay on one.
+  const int num_clusters = clusters.num_clusters();
+  const bool parallel = query.limit <= 0 && !options.collect_trace;
+  const int workers =
+      ClusterLoopWorkers(parallel ? options.num_threads : 1, num_clusters);
+  std::vector<ShardStats> worker_stats(workers);
+  std::vector<std::vector<Row>> cluster_rows(num_clusters);
+  auto body = [&](int c, int w) {
     const SequenceView& seq = clusters.cluster(c);
-    if (!ClusterAccepted(query, seq)) continue;
-    // LIMIT: stop searching once enough rows were produced (exact early
-    // termination — the first N left-maximal matches, in cluster order).
+    ShardStats& ws = worker_stats[w];
+    ++ws.clusters;
+    ws.tuples_pushed += seq.size();
+    if (!ClusterAccepted(query, seq)) return Status::OK();
     SearchOptions search_opts;
     search_opts.governance = &options.governance;
+    if (query.limit > 0) {
+      // LIMIT: stop searching once enough rows were produced (exact
+      // early termination — the first N left-maximal matches, in
+      // cluster order).
+      search_opts.max_matches = query.limit - result.output.num_rows();
+      if (search_opts.max_matches <= 0) return Status::OK();
+    }
     std::unique_ptr<ElementEvaluator> vec_eval;
     if (vec != nullptr) {
       vec_eval = vec->MakeEvaluator();
       search_opts.evaluator = vec_eval.get();
     }
-    if (query.limit > 0) {
-      int64_t remaining = query.limit - result.output.num_rows();
-      if (remaining <= 0) break;
-      search_opts.max_matches = remaining;
-    }
-
-    SearchStats stats;
     SearchTrace* trace = options.collect_trace ? &result.trace : nullptr;
     std::vector<Match> matches =
         options.algorithm == SearchAlgorithm::kOps
-            ? OpsSearch(seq, plan, &stats, trace, search_opts)
-            : NaiveSearch(seq, plan, &stats, trace, search_opts);
-    result.stats += stats;
-
+            ? OpsSearch(seq, plan, &ws.search, trace, search_opts)
+            : NaiveSearch(seq, plan, &ws.search, trace, search_opts);
+    std::vector<Row>& rows = cluster_rows[c];
+    rows.reserve(matches.size());
     for (const Match& match : matches) {
-      SQLTS_RETURN_IF_ERROR(
-          result.output.AppendRow(ProjectMatch(query, seq, match)));
+      rows.push_back(ProjectMatch(query, seq, match));
     }
-    // A triggered deadline/cancellation truncated this cluster's search:
-    // surface the typed error instead of a silently partial result.
-    SQLTS_RETURN_IF_ERROR(options.governance.Check());
-  }
+    return Status::OK();
+  };
+  auto merge = [&](int c) {
+    for (Row& row : cluster_rows[c]) {
+      SQLTS_RETURN_IF_ERROR(result.output.AppendRow(std::move(row)));
+    }
+    cluster_rows[c] = {};
+    return Status::OK();
+  };
+  SQLTS_RETURN_IF_ERROR(RunClusterLoop(num_clusters, workers,
+                                       options.governance, body, merge));
+  result.stats = TotalSearchStats(worker_stats);
+  if (workers > 1) result.shard_stats = std::move(worker_stats);
   return result;
 }
 

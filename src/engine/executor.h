@@ -28,16 +28,18 @@ struct ExecOptions {
   SearchAlgorithm algorithm = SearchAlgorithm::kOps;
   /// Record every predicate test (expensive; Figure-5 style analysis).
   bool collect_trace = false;
-  /// Worker shards for clustered execution.  1 (the default) runs the
-  /// classic single-threaded path with bit-identical output; N > 1
-  /// hash-partitions clusters across N workers and merges results back
-  /// into the same deterministic order (cluster first-appearance order,
-  /// matches in cluster order).  Queries with LIMIT or collect_trace
-  /// fall back to the single-threaded path, whose early termination and
-  /// trace order are inherently sequential.
+  /// Worker threads for clustered execution.  1 (the default) runs
+  /// clusters inline on the calling thread; N > 1 spreads them over N
+  /// workers (batch: engine/cluster_loop.h; streaming: hash-sharded
+  /// worker queues, engine/shard_pool.h) and merges results back into
+  /// the same deterministic order (cluster first-appearance order,
+  /// matches in cluster order), so output is bit-identical at every
+  /// thread count.  Batch queries with LIMIT or collect_trace run on
+  /// one worker, whose early termination and trace order are
+  /// inherently sequential.
   int num_threads = 1;
-  /// Bound (in tasks) of each shard's input queue; Push blocks when the
-  /// owning shard is this far behind (backpressure).
+  /// Streaming only: bound (in tasks) of each shard's input queue; Push
+  /// blocks when the owning shard is this far behind (backpressure).
   int64_t shard_queue_capacity = 1024;
   /// Per-query resource governance: buffer budgets (streaming), a
   /// deadline, cooperative cancellation, bad-input policy, and the
@@ -73,15 +75,21 @@ struct QueryResult {
   /// Malformed input rows dropped under BadInputPolicy::kSkipAndCount
   /// on the way into this query (e.g. by a CSV load feeding it).
   int64_t rows_skipped = 0;
-  /// Per-shard counters (one entry per worker); empty when the query
-  /// ran on the single-threaded path.
+  /// Per-worker counters of a multi-worker run (one entry per worker;
+  /// which clusters a worker ran depends on scheduling, their totals do
+  /// not); empty when the query ran on one worker.
   std::vector<ShardStats> shard_stats;
 };
 
 /// True when the hoisted cluster filters accept this cluster (evaluated
 /// on its first tuple; cluster columns are constant within a cluster).
-/// Shared with the multi-query driver (src/multiquery/).
+/// Shared by every driver.
 bool ClusterAccepted(const CompiledQuery& query, const SequenceView& seq);
+
+/// The same verdict from one row of the cluster alone (the streaming
+/// router's first tuple, or a columnar cluster key spread over its
+/// cluster columns).
+StatusOr<bool> ClusterAccepted(const CompiledQuery& query, Row row);
 
 /// Projects one match of `seq` through `query`'s SELECT list, coercing
 /// each value to the declared output column type.

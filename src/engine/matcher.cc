@@ -1,63 +1,20 @@
 #include "engine/matcher.h"
 
-#include <algorithm>
-#include <bit>
-#include <chrono>
-
 #include "common/logging.h"
+#include "engine/ops_core.h"
 
 namespace sqlts {
 namespace {
 
-/// First set bit at position >= `from` in the candidate bitmap, or `n`
-/// when none remains (missing trailing words read as all-clear).
-int64_t NextCandidateStart(const std::vector<uint64_t>& words, int64_t from,
-                           int64_t n) {
-  if (from < 0) from = 0;
-  while (from < n) {
-    const size_t w = static_cast<size_t>(from >> 6);
-    if (w >= words.size()) return n;
-    const uint64_t bits = words[w] >> (from & 63);
-    if (bits != 0) {
-      from += std::countr_zero(bits);
-      return from < n ? from : n;
-    }
-    from = (from | 63) + 1;
-  }
-  return n;
-}
-
-/// Cheap governance polling for the search loops: cancellation is one
-/// relaxed atomic load per call; the deadline clock is only consulted
-/// every 256 calls.
-class GovernancePoller {
- public:
-  explicit GovernancePoller(const ExecGovernance* gov) : gov_(gov) {}
-
-  bool ShouldStop() {
-    if (gov_ == nullptr) return false;
-    if (gov_->cancel.cancel_requested()) return true;
-    return (++calls_ & 255) == 0 && gov_->has_deadline() &&
-           std::chrono::steady_clock::now() >= gov_->deadline;
-  }
-
- private:
-  const ExecGovernance* gov_;
-  uint64_t calls_ = 0;
-};
-
-/// Evaluates pattern element `j` (1-based) against sequence position
-/// `pos`, with `spans` available for anchored cross-element references.
-/// A non-null `evaluator` answers the test instead (shared multi-query
+/// Answers pattern element `j` (1-based) at sequence position `pos`,
+/// with `spans` available for anchored cross-element references.  A
+/// non-null `evaluator` answers the test instead (shared multi-query
 /// evaluation); it is answer-preserving, so either path yields the same
 /// verdict.  In batch search the working view is the whole cluster, so
 /// the stable cache position equals `pos`.
-bool TestElement(const PatternPlan& plan, int j, const SequenceView& seq,
+bool EvalElement(const PatternPlan& plan, int j, const SequenceView& seq,
                  int64_t pos, const std::vector<GroupSpan>& spans,
-                 SearchStats* stats, SearchTrace* trace,
                  ElementEvaluator* evaluator) {
-  ++stats->evaluations;
-  if (trace != nullptr) trace->push_back({pos, j});
   const ExprPtr& pred = plan.predicates[j];
   if (pred == nullptr) return true;  // TRUE element
   if (evaluator != nullptr) {
@@ -125,8 +82,9 @@ std::vector<Match> NaiveSearch(const SequenceView& seq,
         }
         break;
       }
-      bool sat = TestElement(plan, j, seq, i, spans, stats, trace,
-                             options.evaluator);
+      ++stats->evaluations;
+      if (trace != nullptr) trace->push_back({i, j});
+      bool sat = EvalElement(plan, j, seq, i, spans, options.evaluator);
       if (sat) {
         if (!spans[j - 1].valid()) spans[j - 1].first = i;
         spans[j - 1].last = i;
@@ -162,154 +120,21 @@ std::vector<Match> OpsSearch(const SequenceView& seq,
                              SearchTrace* trace,
                              const SearchOptions& options) {
   SQLTS_CHECK(stats != nullptr);
-  const int m = plan.m;
   const int64_t n = seq.size();
-  const SearchTables& tables = plan.tables;
   std::vector<Match> matches;
-
-  // Attempt state: `start` is the input position of the attempt's first
-  // tuple; `cnt[t]` is the cumulative number of tuples consumed by
-  // pattern positions 1..t (the paper's count array); `spans` the
-  // per-element input spans.
-  int64_t start = 0;
-  std::vector<int64_t> cnt(m + 1, 0);
-  std::vector<GroupSpan> spans(m);
-  int j = 1;
-  int64_t i = 0;
-  bool presat_pending = false;
-
-  auto reset_from = [&](int64_t new_start) {
-    if (options.candidate_starts != nullptr) {
-      // Attempts never begin at a position the prefilter refuted.  The
-      // rebase path below stays unfiltered: a retained-but-doomed start
-      // just fails on its own, which is slower but equally correct.
-      new_start = NextCandidateStart(*options.candidate_starts, new_start, n);
-    }
-    start = new_start;
-    i = new_start;
-    j = 1;
-    std::fill(cnt.begin(), cnt.end(), 0);
-    spans.assign(m, GroupSpan{});
-    presat_pending = false;
-  };
-  if (options.candidate_starts != nullptr) reset_from(0);
-
+  OpsCore core(&plan, options.candidate_starts, n);
   GovernancePoller poller(options.governance);
-  while (true) {
-    if (poller.ShouldStop()) break;
-    if (j > m) {
-      Match match;
-      match.spans = spans;
-      ++stats->matches;
-      int64_t resume = match.last() + 1;
-      matches.push_back(std::move(match));
-      if (options.max_matches > 0 &&
-          static_cast<int64_t>(matches.size()) >= options.max_matches) {
-        return matches;
-      }
-      reset_from(resume);  // left-maximality: no overlapping matches
-      continue;
-    }
-    if (i >= n) {
-      if (j == m && plan.star[m] && cnt[m] > cnt[m - 1]) {
-        Match match;
-        match.spans = spans;
-        ++stats->matches;
-        matches.push_back(std::move(match));
-        break;
-      }
-      // Ran out of input mid-attempt.  The compiled tables don't apply
-      // (no predicate evaluated false), and with a star in the pattern
-      // a later start can still complete inside the input — its star
-      // groups may consume fewer tuples — so fail the attempt and
-      // restart one tuple forward, exactly as the naive engine does.
-      // Star-free attempts consume one tuple per element, so any later
-      // start would run out even sooner: stop.  Tuple-local patterns
-      // (no anchored refs) also stop: a later attempt replays the same
-      // per-tuple outcomes, so it dies at the end of input too.
-      if (plan.has_star && plan.anchored_refs && start + 1 < n) {
-        reset_from(start + 1);
-        continue;
-      }
-      break;
-    }
-
-    bool sat;
-    if (presat_pending) {
-      // φ = 1 on the failing element: known satisfied, no test needed.
-      sat = true;
-      presat_pending = false;
-      ++stats->presat_skips;
-    } else {
-      sat = TestElement(plan, j, seq, i, spans, stats, trace,
-                        options.evaluator);
-    }
-
-    if (sat) {
-      if (cnt[j] == cnt[j - 1]) spans[j - 1].first = i;  // group opens
-      ++cnt[j];
-      spans[j - 1].last = i;
-      ++i;
-      if (!plan.star[j]) {
-        ++j;
-        if (j <= m) cnt[j] = cnt[j - 1];
-      }
-      continue;
-    }
-
-    if (plan.star[j] && cnt[j] > cnt[j - 1]) {
-      // Star group already non-empty: close it; same tuple is retested
-      // against the next element (Sec 5 runtime rule 1).
-      ++j;
-      if (j <= m) cnt[j] = cnt[j - 1];
-      continue;
-    }
-
-    // Mismatch: consult the compiled tables (Sec 5 runtime rule 2).
-    ++stats->jumps;
-    const int s = tables.shift[j];
-    const int nx = tables.next[j];
-    // The presatisfied flag belongs to the *failure* position j, not to
-    // the resumption position nx.
-    const bool presat = tables.presatisfied[j];
-    if (nx == 0) {
-      // No overlap can succeed: restart just past the failing tuple.
-      // (At this point i == start + cnt[j-1]: the failing tuple.)
-      reset_from(i + 1);
-      continue;
-    }
-    // A shift of 1 with a star first element needs care: the implication
-    // graph refutes restarts at whole-group boundaries only, and shift
-    // == 1 means node (2,1) stays viable — which (via the trivially-true
-    // virtual node (1,1), p₁ ⇒ p₁) leaves every tuple *inside* the first
-    // star group as a candidate start.  The count-rebasing formula below
-    // would jump past all of them to the group-2 boundary, so restart
-    // one tuple forward instead, exactly as the naive engine would.
-    // (For shift ≥ 2 those interior restarts are refuted: node (2,1)
-    // unreachable is what makes the shift exceed 1.)  Only anchored
-    // patterns need this: with tuple-local predicates an interior
-    // restart replays the original attempt's outcomes and fails at the
-    // same place, so the whole-group jump stays sound.
-    if (s == 1 && plan.star[1] && cnt[1] > 1 && plan.anchored_refs) {
-      reset_from(start + 1);
-      continue;
-    }
-    // Rebase the attempt: new position t maps onto old position s + t.
-    const std::vector<int64_t> old_cnt = cnt;
-    const std::vector<GroupSpan> old_spans = spans;
-    const int64_t old_start = start;
-    start = old_start + old_cnt[s];
-    for (int t = 0; t <= m; ++t) cnt[t] = 0;
-    spans.assign(m, GroupSpan{});
-    for (int t = 1; t < nx; ++t) {
-      cnt[t] = old_cnt[s + t] - old_cnt[s];
-      spans[t - 1] = old_spans[s + t - 1];
-    }
-    cnt[nx] = cnt[nx - 1];
-    i = old_start + old_cnt[s + nx - 1];
-    j = nx;
-    presat_pending = presat;
-  }
+  core.Close(
+      n, poller, *stats,
+      [&](int j, int64_t pos, const std::vector<GroupSpan>& spans) {
+        if (trace != nullptr) trace->push_back({pos, j});
+        return EvalElement(plan, j, seq, pos, spans, options.evaluator);
+      },
+      [&](const std::vector<GroupSpan>& spans) {
+        matches.push_back(Match{spans});
+        return options.max_matches <= 0 ||
+               static_cast<int64_t>(matches.size()) < options.max_matches;
+      });
   return matches;
 }
 

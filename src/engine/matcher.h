@@ -54,8 +54,10 @@ std::vector<Match> NaiveSearch(const SequenceView& seq,
 
 /// The paper's OPS algorithm (Sec 4.2.1 for star-free patterns, Sec 5's
 /// counter-based generalization for star patterns), driven by the
-/// compiled shift/next tables.  Produces exactly the same matches as
-/// NaiveSearch while testing far fewer (input, element) pairs.
+/// compiled shift/next tables: the OpsCore state machine
+/// (engine/ops_core.h) run over the whole buffered sequence, then closed
+/// at end of input.  Produces exactly the same matches as NaiveSearch
+/// while testing far fewer (input, element) pairs.
 std::vector<Match> OpsSearch(const SequenceView& seq,
                              const PatternPlan& plan, SearchStats* stats,
                              SearchTrace* trace = nullptr,

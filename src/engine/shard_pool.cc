@@ -34,12 +34,6 @@ std::string EncodeClusterKey(const Row& row, const std::vector<int>& cols) {
   return key;
 }
 
-std::string EncodeClusterKey(const Row& key) {
-  std::string out;
-  for (const Value& v : key) AppendKeyPart(v, &out);
-  return out;
-}
-
 ShardPool::ShardPool(int num_shards, int64_t queue_capacity,
                      TaskHandler handler)
     : handler_(std::move(handler)),

@@ -18,12 +18,13 @@
 
 namespace sqlts {
 
-/// Per-shard execution counters layered on top of SearchStats: one
-/// entry per worker of a sharded run, aggregated at Finish() time.
+/// Per-worker execution counters layered on top of SearchStats: one
+/// entry per shard of a sharded stream (aggregated at Finish() time), or
+/// per worker of a multi-worker batch run.
 struct ShardStats {
-  int64_t tuples_pushed = 0;     ///< tasks enqueued to this shard
-  int64_t clusters = 0;          ///< clusters owned by this shard
-  int64_t queue_high_water = 0;  ///< max queue depth observed
+  int64_t tuples_pushed = 0;     ///< tuples routed to / run by this worker
+  int64_t clusters = 0;          ///< clusters owned / run by this worker
+  int64_t queue_high_water = 0;  ///< max queue depth observed (0 in batch)
   int64_t rows_skipped = 0;      ///< bad rows dropped under kSkipAndCount
   /// Sum of the per-cluster matcher buffering high-water marks (an
   /// upper bound on tuples/bytes this shard held live at once).
@@ -52,11 +53,8 @@ SearchStats TotalSearchStats(const std::vector<ShardStats>& shards);
 /// key tuples encode equal.
 std::string EncodeClusterKey(const Row& row, const std::vector<int>& cols);
 
-/// EncodeClusterKey over every column of `key` (a cluster-key tuple as
-/// produced by ClusteredSequence::cluster_key).
-std::string EncodeClusterKey(const Row& key);
-
-/// Fixed-size pool of shard workers for per-cluster parallelism.
+/// Fixed-size pool of shard workers for per-cluster parallelism in
+/// streaming execution (batch drivers use engine/cluster_loop.h).
 ///
 /// Clusters are hash-partitioned across N shards (ShardFor); each shard
 /// runs one dedicated worker thread that consumes a bounded MPSC queue
@@ -69,10 +67,9 @@ std::string EncodeClusterKey(const Row& key);
 /// workers, and makes all worker-side state visible to the caller.
 class ShardPool {
  public:
-  /// One unit of work: a row routed to a cluster (streaming), or a bare
-  /// cluster ordinal with an empty row (batch, one task per cluster).
-  /// `tag` is a producer-assigned sequence number used for the ordered
-  /// result merge.
+  /// One unit of work: a row routed to a cluster.  `tag` is a
+  /// producer-assigned sequence number used for the ordered result
+  /// merge.
   struct Task {
     Row row;
     uint64_t cluster = 0;

@@ -7,61 +7,39 @@
 #include "storage/sequence.h"
 
 namespace sqlts {
-namespace {
 
-/// Most negative relative offset used by any predicate of the plan
-/// (0 when none), and whether any predicate looks ahead.
-void ScanOffsets(const PatternPlan& plan, int* min_offset,
-                 bool* looks_ahead) {
-  *min_offset = 0;
-  *looks_ahead = false;
-  for (int j = 1; j <= plan.m; ++j) {
-    if (plan.predicates[j] == nullptr) continue;
-    VisitColumnRefs(plan.predicates[j], [&](const ColumnRef& r) {
-      if (r.relative) {
-        *min_offset = std::min(*min_offset, r.total_offset);
-        if (r.total_offset > 0) *looks_ahead = true;
-      } else if (r.nav_offset < 0) {
-        *min_offset = std::min(*min_offset, r.nav_offset);
-      }
-    });
+Status CheckStreamable(const PatternPlan& plan) {
+  if (plan.looks_ahead) {
+    return Status::InvalidArgument(
+        "streaming match requires predicates without lookahead "
+        "(positive previous/next offsets)");
   }
+  return Status::OK();
 }
-
-}  // namespace
 
 StatusOr<OpsStreamMatcher> OpsStreamMatcher::Create(
     const PatternPlan* plan, Schema schema, MatchCallback on_match,
     const ExecGovernance* governance, ResourceLedger* ledger,
     ElementEvaluator* evaluator) {
   SQLTS_CHECK(plan != nullptr);
-  int min_offset = 0;
-  bool looks_ahead = false;
-  ScanOffsets(*plan, &min_offset, &looks_ahead);
-  if (looks_ahead) {
-    return Status::InvalidArgument(
-        "streaming match requires predicates without lookahead "
-        "(positive previous/next offsets)");
-  }
+  SQLTS_RETURN_IF_ERROR(CheckStreamable(*plan));
   return OpsStreamMatcher(plan, std::move(schema), std::move(on_match),
-                          min_offset, governance, ledger, evaluator);
+                          governance, ledger, evaluator);
 }
 
 OpsStreamMatcher::OpsStreamMatcher(const PatternPlan* plan, Schema schema,
-                                   MatchCallback on_match, int min_offset,
+                                   MatchCallback on_match,
                                    const ExecGovernance* governance,
                                    ResourceLedger* ledger,
                                    ElementEvaluator* evaluator)
     : plan_(plan),
       schema_(schema),
       on_match_(std::move(on_match)),
-      min_offset_(min_offset),
       gov_(governance),
       ledger_(ledger),
       evaluator_(evaluator),
       buffer_(schema),
-      cnt_(plan->m + 1, 0),
-      spans_(plan->m) {}
+      core_(plan) {}
 
 void OpsStreamMatcher::Account(int64_t tuples, int64_t bytes) {
   buffered_bytes_ += bytes;
@@ -109,167 +87,54 @@ Status OpsStreamMatcher::Push(Row row) {
   view_rows_.push_back(buffer_.num_rows() - 1);
   ++pushed_;
   Account(+1, row_bytes);
-  Drain();
-  if (gov_ != nullptr && gov_->cancel.cancel_requested()) {
-    return Status::Cancelled("query cancelled via CancelToken");
-  }
+  // A stop leaves consistent state; only governance stops the core.
+  if (!Run(/*close=*/false)) return gov_->Check();
   MaybeEvict();
   return CheckBudget();
 }
 
-void OpsStreamMatcher::Finish() {
-  const int m = plan_->m;
-  // End of stream: the suspended attempt gets no more input.  An open
-  // star group on the last element completes a match; otherwise the
-  // attempt fails, and — as in batch OpsSearch — a pattern with stars
-  // must retry later starts, whose star groups may consume few enough
-  // tuples to fit in the remaining input.  Each retry re-runs Drain,
-  // which either completes (emitting matches) or suspends at the end of
-  // input again; start_ strictly increases, so this terminates.
-  while (true) {
-    if (gov_ != nullptr && gov_->cancel.cancel_requested()) return;
-    if (j_ == m && plan_->star[m] && cnt_[m] > cnt_[m - 1]) {
-      EmitMatch();
-      Drain();
-      continue;
-    }
-    if (plan_->has_star && plan_->anchored_refs && start_ + 1 < pushed_) {
-      ResetAttempt(start_ + 1);
-      Drain();
-      continue;
-    }
-    break;
-  }
-}
+void OpsStreamMatcher::Finish() { Run(/*close=*/true); }
 
-void OpsStreamMatcher::EmitMatch() {
-  Match match;
-  match.spans = spans_;
-  ++stats_.matches;
-  if (on_match_) {
-    SequenceView view(&buffer_, &view_rows_);
-    on_match_(match, view, base_);
-  }
-  ResetAttempt(match.last() + 1);
-}
-
-void OpsStreamMatcher::ResetAttempt(int64_t new_start) {
-  start_ = new_start;
-  i_ = new_start;
-  j_ = 1;
-  std::fill(cnt_.begin(), cnt_.end(), 0);
-  spans_.assign(plan_->m, GroupSpan{});
-  presat_pending_ = false;
-}
-
-void OpsStreamMatcher::Drain() {
-  const int m = plan_->m;
-  const SearchTables& tables = plan_->tables;
-
+bool OpsStreamMatcher::Run(bool close) {
   // A buffer-relative view (borrowing the incrementally-grown index)
   // and span translation for the evaluator.
-  SequenceView view(&buffer_, &view_rows_);
-  std::vector<GroupSpan> rel_spans(m);
-
-  while (true) {
-    // Cooperative cancellation: state is consistent between iterations,
-    // so bailing here leaves a matcher that could even resume.
-    if (gov_ != nullptr && gov_->cancel.cancel_requested()) return;
-    if (j_ > m) {
-      EmitMatch();
-      continue;
+  const SequenceView view(&buffer_, &view_rows_);
+  std::vector<GroupSpan> rel_spans(plan_->m);
+  auto test = [&](int j, int64_t pos, const std::vector<GroupSpan>& spans) {
+    const ExprPtr& pred = plan_->predicates[j];
+    if (pred == nullptr) return true;
+    for (size_t e = 0; e < spans.size(); ++e) {
+      rel_spans[e] = spans[e].valid() ? GroupSpan{spans[e].first - base_,
+                                                  spans[e].last - base_}
+                                      : GroupSpan{};
     }
-    if (i_ >= pushed_) return;  // wait for more input
-
-    bool sat;
-    if (presat_pending_) {
-      sat = true;
-      presat_pending_ = false;
-      ++stats_.presat_skips;
-    } else {
-      ++stats_.evaluations;
-      const ExprPtr& pred = plan_->predicates[j_];
-      if (pred == nullptr) {
-        sat = true;
-      } else {
-        for (int e = 0; e < m; ++e) {
-          rel_spans[e] = spans_[e].valid()
-                             ? GroupSpan{spans_[e].first - base_,
-                                         spans_[e].last - base_}
-                             : GroupSpan{};
-        }
-        if (evaluator_ != nullptr) {
-          // The buffer view is positioned at i_ - base_, but the tuple's
-          // stable identity across queries (whose buffers may have
-          // evicted different prefixes) is its absolute position i_.
-          sat = evaluator_->Test(j_, view, i_ - base_, rel_spans,
-                                 /*abs_pos=*/i_);
-        } else {
-          EvalContext ctx;
-          ctx.seq = &view;
-          ctx.pos = i_ - base_;
-          ctx.spans = &rel_spans;
-          sat = EvalPredicate(*pred, ctx);
-        }
-      }
+    if (evaluator_ != nullptr) {
+      // The buffer view is positioned at pos - base_, but the tuple's
+      // stable identity across queries (whose buffers may have evicted
+      // different prefixes) is its absolute position.
+      return evaluator_->Test(j, view, pos - base_, rel_spans,
+                              /*abs_pos=*/pos);
     }
-
-    if (sat) {
-      if (cnt_[j_] == cnt_[j_ - 1]) spans_[j_ - 1].first = i_;
-      ++cnt_[j_];
-      spans_[j_ - 1].last = i_;
-      ++i_;
-      if (!plan_->star[j_]) {
-        ++j_;
-        if (j_ <= m) cnt_[j_] = cnt_[j_ - 1];
-      }
-      continue;
-    }
-
-    if (plan_->star[j_] && cnt_[j_] > cnt_[j_ - 1]) {
-      ++j_;
-      if (j_ <= m) cnt_[j_] = cnt_[j_ - 1];
-      continue;
-    }
-
-    ++stats_.jumps;
-    const int s = tables.shift[j_];
-    const int nx = tables.next[j_];
-    const bool presat = tables.presatisfied[j_];
-    if (nx == 0) {
-      ResetAttempt(i_ + 1);
-      continue;
-    }
-    // Mirror of OpsSearch's star-aware shift guard (see matcher.cc): a
-    // shift of 1 with a multi-tuple star first group must restart one
-    // tuple forward, because the implication graph never refutes the
-    // candidate starts *inside* that group's span.  Needed only when an
-    // anchored reference can make the replay diverge.
-    if (s == 1 && plan_->star[1] && cnt_[1] > 1 && plan_->anchored_refs) {
-      ResetAttempt(start_ + 1);
-      continue;
-    }
-    const std::vector<int64_t> old_cnt = cnt_;
-    const std::vector<GroupSpan> old_spans = spans_;
-    const int64_t old_start = start_;
-    start_ = old_start + old_cnt[s];
-    std::fill(cnt_.begin(), cnt_.end(), 0);
-    spans_.assign(m, GroupSpan{});
-    for (int t = 1; t < nx; ++t) {
-      cnt_[t] = old_cnt[s + t] - old_cnt[s];
-      spans_[t - 1] = old_spans[s + t - 1];
-    }
-    cnt_[nx] = cnt_[nx - 1];
-    i_ = old_start + old_cnt[s + nx - 1];
-    j_ = nx;
-    presat_pending_ = presat;
-  }
+    EvalContext ctx;
+    ctx.seq = &view;
+    ctx.pos = pos - base_;
+    ctx.spans = &rel_spans;
+    return EvalPredicate(*pred, ctx);
+  };
+  auto on_match = [&](const std::vector<GroupSpan>& spans) {
+    if (on_match_) on_match_(Match{spans}, view, base_);
+    return true;
+  };
+  GovernancePoller poller(gov_);
+  return close ? core_.Close(pushed_, poller, stats_, test, on_match)
+               : core_.Advance(pushed_, poller, stats_, test, on_match);
 }
 
 void OpsStreamMatcher::MaybeEvict() {
   // Everything before the earliest position any test of the active
-  // attempt (or its anchored references) can reach is dead.
-  const int64_t reachable_from = start_ + min_offset_;
+  // attempt, its anchored references or the SELECT list of a match it
+  // completes can reach is dead.
+  const int64_t reachable_from = core_.start + plan_->min_offset;
   const int64_t waste = reachable_from - base_;
   if (waste < 4096 || waste < buffer_.num_rows() / 2) return;
   int64_t freed_bytes = 0;
@@ -291,17 +156,17 @@ void OpsStreamMatcher::Checkpoint(CheckpointWriter* writer) const {
   // Plan fingerprint first, so restoring against a different pattern
   // shape fails loudly instead of resuming into inconsistent state.
   writer->WriteU32(static_cast<uint32_t>(plan_->m));
-  writer->WriteI64(min_offset_);
+  writer->WriteI64(plan_->min_offset);
   writer->WriteI64(base_);
   writer->WriteI64(pushed_);
-  writer->WriteI64(start_);
-  writer->WriteI64(i_);
-  writer->WriteU32(static_cast<uint32_t>(j_));
-  writer->WriteBool(presat_pending_);
-  writer->WriteU32(static_cast<uint32_t>(cnt_.size()));
-  for (int64_t c : cnt_) writer->WriteI64(c);
-  writer->WriteU32(static_cast<uint32_t>(spans_.size()));
-  for (const GroupSpan& s : spans_) {
+  writer->WriteI64(core_.start);
+  writer->WriteI64(core_.i);
+  writer->WriteU32(static_cast<uint32_t>(core_.j));
+  writer->WriteBool(core_.presat_pending);
+  writer->WriteU32(static_cast<uint32_t>(core_.cnt.size()));
+  for (int64_t c : core_.cnt) writer->WriteI64(c);
+  writer->WriteU32(static_cast<uint32_t>(core_.spans.size()));
+  for (const GroupSpan& s : core_.spans) {
     writer->WriteI64(s.first);
     writer->WriteI64(s.last);
   }
@@ -327,29 +192,29 @@ Status OpsStreamMatcher::RestoreState(CheckpointReader* reader) {
         " elements, plan has " + std::to_string(plan_->m));
   }
   SQLTS_ASSIGN_OR_RETURN(int64_t min_offset, reader->ReadI64());
-  if (static_cast<int>(min_offset) != min_offset_) {
+  if (min_offset != plan_->min_offset) {
     return Status::InvalidArgument(
         "checkpoint predicate window disagrees with the compiled plan");
   }
   SQLTS_ASSIGN_OR_RETURN(base_, reader->ReadI64());
   SQLTS_ASSIGN_OR_RETURN(pushed_, reader->ReadI64());
-  SQLTS_ASSIGN_OR_RETURN(start_, reader->ReadI64());
-  SQLTS_ASSIGN_OR_RETURN(i_, reader->ReadI64());
+  SQLTS_ASSIGN_OR_RETURN(core_.start, reader->ReadI64());
+  SQLTS_ASSIGN_OR_RETURN(core_.i, reader->ReadI64());
   SQLTS_ASSIGN_OR_RETURN(uint32_t j, reader->ReadU32());
-  j_ = static_cast<int>(j);
-  SQLTS_ASSIGN_OR_RETURN(presat_pending_, reader->ReadBool());
+  core_.j = static_cast<int>(j);
+  SQLTS_ASSIGN_OR_RETURN(core_.presat_pending, reader->ReadBool());
   SQLTS_ASSIGN_OR_RETURN(uint32_t cnt_size, reader->ReadU32());
-  if (cnt_size != cnt_.size()) {
+  if (cnt_size != core_.cnt.size()) {
     return Status::IoError("checkpoint counter array size mismatch");
   }
-  for (size_t t = 0; t < cnt_.size(); ++t) {
-    SQLTS_ASSIGN_OR_RETURN(cnt_[t], reader->ReadI64());
+  for (int64_t& c : core_.cnt) {
+    SQLTS_ASSIGN_OR_RETURN(c, reader->ReadI64());
   }
   SQLTS_ASSIGN_OR_RETURN(uint32_t span_count, reader->ReadU32());
-  if (span_count != spans_.size()) {
+  if (span_count != core_.spans.size()) {
     return Status::IoError("checkpoint span array size mismatch");
   }
-  for (GroupSpan& s : spans_) {
+  for (GroupSpan& s : core_.spans) {
     SQLTS_ASSIGN_OR_RETURN(s.first, reader->ReadI64());
     SQLTS_ASSIGN_OR_RETURN(s.last, reader->ReadI64());
   }

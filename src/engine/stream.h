@@ -8,11 +8,16 @@
 #include "common/statusor.h"
 #include "engine/checkpoint.h"
 #include "engine/match.h"
+#include "engine/ops_core.h"
 #include "engine/shared_eval.h"
 #include "pattern/compile.h"
 #include "storage/table.h"
 
 namespace sqlts {
+
+/// OK when `plan` can run on a stream; InvalidArgument when a WHERE
+/// predicate looks *ahead* (positive relative offset).
+Status CheckStreamable(const PatternPlan& plan);
 
 /// Push-based incremental OPS matching over a tuple stream — the
 /// deployment mode the paper targets ("the runtime execution of SQL-TS
@@ -20,12 +25,14 @@ namespace sqlts {
 ///
 /// Tuples arrive one at a time via Push(); completed matches are
 /// reported through the callback with positions counted from the first
-/// pushed tuple.  The matcher runs the exact OPS algorithm (same
-/// shift/next tables, same greedy/left-maximal semantics) and is
-/// property-tested to agree with the batch OpsSearch on every prefix.
+/// pushed tuple.  The matcher feeds the one OPS core (engine/ops_core.h)
+/// whatever has arrived so far, so it shares batch OpsSearch's tables,
+/// rebasing and greedy/left-maximal semantics, and is property-tested to
+/// agree with it on every prefix.
 ///
 /// Memory is bounded by the active attempt: tuples no attempt can reach
-/// any more (before `start + min_offset`) are evicted from the internal
+/// any more (before `start + plan.min_offset`, which covers the WHERE
+/// predicates and the SELECT list) are evicted from the internal
 /// buffer.  When an ExecGovernance is supplied, Push additionally
 /// enforces buffered-tuple/byte budgets (kResourceExhausted), a
 /// deadline (kDeadlineExceeded), and cooperative cancellation
@@ -50,9 +57,8 @@ class OpsStreamMatcher {
       const Match& match, const SequenceView& view, int64_t base)>;
 
   /// Builds a streaming matcher for `plan` over rows of `schema`.
-  /// Fails with InvalidArgument when a WHERE predicate looks *ahead* in
-  /// the stream (positive relative offset), which streaming cannot
-  /// serve.  `governance` (optional; must outlive the matcher) supplies
+  /// Fails as CheckStreamable does on lookahead predicates.
+  /// `governance` (optional; must outlive the matcher) supplies
   /// budgets/deadline/cancellation; `ledger` (optional, shared across
   /// the query's matchers) is where buffered tuples/bytes are accounted
   /// so multi-cluster queries enforce one per-query budget.
@@ -66,11 +72,14 @@ class OpsStreamMatcher {
       ResourceLedger* ledger = nullptr,
       ElementEvaluator* evaluator = nullptr);
 
-  /// Processes the next tuple of the stream.
+  /// Processes the next tuple of the stream.  Fails with the typed
+  /// governance error when the search stops on cancellation or the
+  /// deadline.
   Status Push(Row row);
 
   /// Signals end-of-stream: a trailing star group that is already
-  /// non-empty closes and may complete a final match.
+  /// non-empty closes and may complete a final match.  Stops early on
+  /// cancellation or the deadline, which the caller re-checks.
   void Finish();
 
   /// Serializes all live state (stream position, attempt state, star
@@ -95,16 +104,13 @@ class OpsStreamMatcher {
 
  private:
   OpsStreamMatcher(const PatternPlan* plan, Schema schema,
-                   MatchCallback on_match, int min_offset,
-                   const ExecGovernance* governance, ResourceLedger* ledger,
-                   ElementEvaluator* evaluator);
+                   MatchCallback on_match, const ExecGovernance* governance,
+                   ResourceLedger* ledger, ElementEvaluator* evaluator);
 
-  /// Runs the OPS state machine over every buffered-but-unprocessed
-  /// tuple.  Returns early (leaving consistent state) when cancellation
-  /// is requested.
-  void Drain();
-  void EmitMatch();
-  void ResetAttempt(int64_t new_start);
+  /// Feeds the core every buffered-but-unprocessed tuple; with `close`,
+  /// then applies the end-of-input rule.  Returns false when the search
+  /// stopped on governance (state stays consistent).
+  bool Run(bool close);
   /// Drops buffer rows that no future test or SELECT can reach.
   void MaybeEvict();
   /// Applies a buffered tuples/bytes delta to the gauges and ledger.
@@ -113,21 +119,16 @@ class OpsStreamMatcher {
   /// local gauges when no ledger is shared).
   Status CheckBudget() const;
 
-  /// Buffer position of absolute stream position `pos`, or -1 if
-  /// evicted/future.
-  int64_t BufferPos(int64_t pos) const { return pos - base_; }
-
   const PatternPlan* plan_;
   Schema schema_;
   MatchCallback on_match_;
-  int min_offset_;  // most negative relative offset used by predicates
   const ExecGovernance* gov_;  // not owned; may be null
   ResourceLedger* ledger_;     // not owned; may be null
   ElementEvaluator* evaluator_ = nullptr;  // not owned; may be null
 
   Table buffer_;
-  /// Identity row index into buffer_, grown incrementally so Drain()
-  /// can build a SequenceView without an O(buffer) copy per push.
+  /// Identity row index into buffer_, grown incrementally so Run() can
+  /// build a SequenceView without an O(buffer) copy per push.
   std::vector<int64_t> view_rows_;
   int64_t base_ = 0;    // absolute position of buffer_ row 0
   int64_t pushed_ = 0;  // total tuples seen
@@ -135,13 +136,7 @@ class OpsStreamMatcher {
   int64_t peak_buffered_ = 0;
   int64_t peak_buffered_bytes_ = 0;
 
-  // OPS state (absolute positions).
-  int64_t start_ = 0;
-  int64_t i_ = 0;
-  int j_ = 1;
-  std::vector<int64_t> cnt_;
-  std::vector<GroupSpan> spans_;
-  bool presat_pending_ = false;
+  OpsCore core_;  // attempt state, in absolute positions
   SearchStats stats_;
 };
 

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "analysis/linter.h"
-#include "expr/eval.h"
 
 namespace sqlts {
 
@@ -15,23 +14,10 @@ StreamingQueryExecutor::Create(std::string_view query_text,
                                const ExecOptions& options) {
   SQLTS_ASSIGN_OR_RETURN(CompiledQuery query,
                          CompileQueryText(query_text, schema));
-  if (options.compile.refuse_provably_empty) {
-    LintOptions lint_options;
-    lint_options.oracle = options.compile.oracle;
-    LintResult lint = LintQuery(query, lint_options);
-    if (lint.has_errors()) {
-      return Status::InvalidArgument("query is provably empty: " +
-                                     SummarizeErrors(lint));
-    }
-  }
+  SQLTS_RETURN_IF_ERROR(RefuseProvablyEmpty(query, options.compile));
   SQLTS_ASSIGN_OR_RETURN(PatternPlan plan,
                          CompilePattern(query, options.compile));
-  // Fail early on lookahead predicates: probe a matcher construction.
-  {
-    auto probe =
-        OpsStreamMatcher::Create(&plan, schema, OpsStreamMatcher::MatchCallback{});
-    SQLTS_RETURN_IF_ERROR(probe.status());
-  }
+  SQLTS_RETURN_IF_ERROR(CheckStreamable(plan));
   auto exec = std::unique_ptr<StreamingQueryExecutor>(
       new StreamingQueryExecutor(std::move(query), std::move(plan),
                                  std::move(on_row), options));
@@ -87,22 +73,8 @@ StreamingQueryExecutor::RouteFor(const Row& row) {
   info.ordinal = static_cast<uint64_t>(routes_.size());
   info.shard = pool_ != nullptr ? pool_->ShardFor(key) : 0;
   // Cluster filters are constant per cluster: evaluate them on this
-  // first tuple directly (they were rewritten to offset-0 references).
-  if (!query_.cluster_filters.empty()) {
-    Table one(query_.input_schema);
-    SQLTS_RETURN_IF_ERROR(one.AppendRow(row));
-    std::vector<int64_t> rows = {0};
-    SequenceView view(&one, std::move(rows));
-    EvalContext ctx;
-    ctx.seq = &view;
-    ctx.pos = 0;
-    for (const ExprPtr& f : query_.cluster_filters) {
-      if (!EvalPredicate(*f, ctx)) {
-        info.accepted = false;
-        break;
-      }
-    }
-  }
+  // first tuple.
+  SQLTS_ASSIGN_OR_RETURN(info.accepted, ClusterAccepted(query_, row));
   if (shared_eval_ != nullptr) {
     ts::MutexLock lock(ordinal_keys_mu_);
     ordinal_keys_.emplace(info.ordinal, key);
@@ -110,25 +82,6 @@ StreamingQueryExecutor::RouteFor(const Row& row) {
   auto [pos, inserted] = routes_.emplace(std::move(key), std::move(info));
   SQLTS_CHECK(inserted);
   return &pos->second;
-}
-
-Status StreamingQueryExecutor::CheckRowTypes(const Row& row) const {
-  // Mirror of Table::AppendRow's checks, run router-side so a bad row
-  // is rejected (or skipped) before it can poison a worker's matcher.
-  const Schema& schema = query_.input_schema;
-  for (int c = 0; c < schema.num_columns(); ++c) {
-    const Value& v = row[c];
-    if (v.is_null() || v.kind() == schema.column(c).type) continue;
-    if (schema.column(c).type == TypeKind::kDouble &&
-        v.kind() == TypeKind::kInt64) {
-      continue;  // SQL numeric coercion, applied at append time
-    }
-    return Status::TypeError(
-        "stream tuple column '" + schema.column(c).name + "' expects " +
-        std::string(TypeKindToString(schema.column(c).type)) + ", got " +
-        std::string(TypeKindToString(v.kind())));
-  }
-  return Status::OK();
 }
 
 Status StreamingQueryExecutor::CheckSequenceOrder(const Row& row,
@@ -175,13 +128,10 @@ Status StreamingQueryExecutor::Push(Row row) {
   SQLTS_RETURN_IF_ERROR(governance_.Check());
   SQLTS_RETURN_IF_ERROR(governance_.Fault("stream.push"));
   ++consumed_;
-  if (static_cast<int>(row.size()) != query_.input_schema.num_columns()) {
-    return HandleBadInput(Status::InvalidArgument(
-        "row arity " + std::to_string(row.size()) + " != schema arity " +
-        std::to_string(query_.input_schema.num_columns())));
-  }
-  Status types = CheckRowTypes(row);
-  if (!types.ok()) return HandleBadInput(std::move(types));
+  // Checked router-side so a bad row is rejected (or skipped) before it
+  // can poison a worker's matcher.
+  Status shape = CheckRow(query_.input_schema, row);
+  if (!shape.ok()) return HandleBadInput(std::move(shape));
   SQLTS_ASSIGN_OR_RETURN(RouteInfo * info, RouteFor(row));
   if (!info->accepted) return Status::OK();
   Status order = CheckSequenceOrder(row, info);
@@ -251,20 +201,11 @@ void StreamingQueryExecutor::EmitRow(int shard, uint64_t ordinal,
                                      int64_t base) {
   if (!on_row_) return;
   // Translate spans into view coordinates for SELECT evaluation.
-  std::vector<GroupSpan> rel(match.spans.size());
-  for (size_t e = 0; e < match.spans.size(); ++e) {
-    rel[e] = GroupSpan{match.spans[e].first - base,
-                       match.spans[e].last - base};
+  Match rel = match;
+  for (GroupSpan& span : rel.spans) {
+    span = GroupSpan{span.first - base, span.last - base};
   }
-  EvalContext ctx;
-  ctx.seq = &view;
-  ctx.pos = 0;
-  ctx.spans = &rel;
-  Row out;
-  out.reserve(query_.select.size());
-  for (const SelectItem& item : query_.select) {
-    out.push_back(EvalExpr(*item.expr, ctx));
-  }
+  Row out = ProjectMatch(query_, view, rel);
   ShardState& st = *shards_[shard];
   ClusterState& cs = st.clusters.at(ordinal);
   // The counter advances on both paths so checkpoints are identical at
@@ -307,7 +248,7 @@ Status StreamingQueryExecutor::Finish() {
   finished_ = true;
   if (pool_ != nullptr) pool_->Finish();  // barrier: drains and joins
 
-  const Status gov = governance_.Check();
+  Status gov = governance_.Check();
   if (gov.ok()) {
     // Close trailing star groups.  Clusters finish in encoded-key
     // order — the iteration order of the pre-shard implementation,
@@ -324,7 +265,11 @@ Status StreamingQueryExecutor::Finish() {
       st.current_tag = ++tag;
       it->second.matcher->Finish();
     }
-    if (pool_ != nullptr) FlushBufferedRows();
+    // A cancellation or deadline that arrived during close-out (say,
+    // from a row callback) stopped the remaining matchers early: report
+    // it rather than a silently partial result.
+    gov = governance_.Check();
+    if (gov.ok() && pool_ != nullptr) FlushBufferedRows();
   }
 
   // Aggregate the per-shard stats layer.
@@ -369,10 +314,7 @@ Status StreamingQueryExecutor::Checkpoint(std::string* out) {
   if (finished_) {
     return Status::InvalidArgument("Checkpoint after Finish");
   }
-  if (pool_ != nullptr) {
-    pool_->Drain();  // quiesce: workers idle, their state visible
-    SQLTS_RETURN_IF_ERROR(pool_->first_error());
-  }
+  SQLTS_RETURN_IF_ERROR(Quiesce());  // workers idle, their state visible
   for (const auto& st : shards_) {
     SQLTS_RETURN_IF_ERROR(st->error);
   }

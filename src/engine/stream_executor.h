@@ -85,7 +85,10 @@ class StreamingQueryExecutor {
   /// trailing star groups close, final matches are emitted, and (in
   /// sharded mode) buffered rows are delivered in deterministic order.
   /// Returns the first error any shard encountered — including
-  /// exceptions caught at the worker boundary.  Idempotent.
+  /// exceptions caught at the worker boundary — or the typed governance
+  /// error when cancellation or the deadline triggered before or during
+  /// the close-out, which never reports a partial result as OK.
+  /// Idempotent.
   Status Finish();
 
   /// Quiesces sharded execution without closing it: blocks until every
@@ -184,8 +187,6 @@ class StreamingQueryExecutor {
 
   /// Looks up (or creates) the routing entry for `row`'s cluster.
   StatusOr<RouteInfo*> RouteFor(const Row& row);
-  /// Rejects rows whose values do not fit the input schema.
-  Status CheckRowTypes(const Row& row) const;
   /// Rejects rows that regress on the full SEQUENCE BY tuple.
   Status CheckSequenceOrder(const Row& row, RouteInfo* info);
   /// Applies the BadInputPolicy to a malformed-row verdict: fail fast

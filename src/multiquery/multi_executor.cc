@@ -5,9 +5,9 @@
 #include <utility>
 
 #include "analysis/linter.h"
+#include "engine/cluster_loop.h"
 #include "engine/explain.h"
 #include "engine/matcher.h"
-#include "engine/shard_pool.h"
 #include "multiquery/shared_cache.h"
 #include "storage/sequence.h"
 
@@ -28,8 +28,8 @@ struct SetQuery {
   Table output;
   SearchStats stats;
   int group = -1;  // scan-group index
-  /// Sharded path: rows buffered per cluster ordinal, merged in cluster
-  /// first-appearance order after the barrier.
+  /// Rows buffered per cluster ordinal until the cluster loop merges
+  /// them in cluster first-appearance order.
   std::vector<std::vector<Row>> cluster_rows;
 
   explicit SetQuery(Schema out_schema) : output(std::move(out_schema)) {}
@@ -48,127 +48,80 @@ Status Prefixed(int index, const Status& s) {
                 "query #" + std::to_string(index + 1) + ": " + s.message());
 }
 
-/// Runs one query's matcher over one cluster through the shared cache
-/// and projects its matches.  `max_matches` = 0 means unlimited.
-std::vector<Row> RunQueryOnCluster(SetQuery* sq, const SequenceView& seq,
-                                   SharedClusterCache* cache,
-                                   MultiQueryCounters* counters,
-                                   const ExecOptions& options,
-                                   int64_t max_matches, SearchStats* stats) {
-  MultiQueryEvaluator evaluator(&sq->conjuncts, cache, counters);
-  SearchOptions search_opts;
-  search_opts.governance = &options.governance;
-  search_opts.evaluator = &evaluator;
-  search_opts.max_matches = max_matches;
-  std::vector<Match> matches =
-      options.algorithm == SearchAlgorithm::kOps
-          ? OpsSearch(seq, sq->plan, stats, nullptr, search_opts)
-          : NaiveSearch(seq, sq->plan, stats, nullptr, search_opts);
-  std::vector<Row> rows;
-  rows.reserve(matches.size());
-  for (const Match& match : matches) {
-    rows.push_back(ProjectMatch(sq->query, seq, match));
-  }
-  return rows;
-}
-
-/// Sequential per-group execution: clusters in first-appearance order,
-/// the group's queries in registration order within each cluster, with
-/// exact per-query LIMIT early termination — each query's rows come out
-/// in the same order its standalone run produces.
-Status ExecuteGroupSequential(ScanGroup* group, std::vector<SetQuery>* set,
-                              const ExecOptions& options,
-                              MultiQueryCounters* counters) {
-  for (int c = 0; c < group->clusters.num_clusters(); ++c) {
-    const SequenceView& seq = group->clusters.cluster(c);
-    SharedClusterCache cache(group->catalog.get(),
-                             std::min<int64_t>(seq.size(), kMaxBatchWindow));
-    for (int qi : group->members) {
-      SetQuery& sq = (*set)[qi];
-      if (sq.query.limit_zero) continue;
-      int64_t max_matches = 0;
-      if (sq.query.limit > 0) {
-        max_matches = sq.query.limit - sq.output.num_rows();
-        if (max_matches <= 0) continue;
-      }
-      if (!ClusterAccepted(sq.query, seq)) continue;
-      SearchStats stats;
-      std::vector<Row> rows = RunQueryOnCluster(
-          &sq, seq, &cache, counters, options, max_matches, &stats);
-      sq.stats += stats;
-      for (Row& row : rows) {
-        SQLTS_RETURN_IF_ERROR(sq.output.AppendRow(std::move(row)));
-      }
-      SQLTS_RETURN_IF_ERROR(options.governance.Check());
-    }
-  }
-  return Status::OK();
-}
-
-/// Sharded per-group execution, mirroring the single-query
-/// ExecuteSharded: one task per cluster, the owning worker runs every
-/// query of the group against it (sharing the cluster cache), rows
-/// merge back per query in cluster order.  LIMIT queries truncate at
-/// assembly — same first-N rows as the sequential path.
-Status ExecuteGroupSharded(ScanGroup* group, std::vector<SetQuery>* set,
-                           const ExecOptions& options,
-                           MultiQueryCounters* counters) {
+/// Runs every query of a scan group over each cluster through the batch
+/// cluster loop.  One body per cluster runs the group's queries in
+/// registration order against a shared cluster cache; rows merge back
+/// per query in cluster order.  At one worker LIMIT queries terminate
+/// exactly at their limit, so each query's rows come out in the order
+/// its standalone run produces; at N workers a cluster cannot observe a
+/// cross-cluster LIMIT, so LIMIT queries truncate at the merge — the
+/// same first-N rows.
+Status ExecuteGroup(ScanGroup* group, std::vector<SetQuery>* set,
+                    const ExecOptions& options,
+                    MultiQueryCounters* counters) {
   const int num_clusters = group->clusters.num_clusters();
-  const int num_shards = std::min(options.num_threads, num_clusters);
+  const int workers = ClusterLoopWorkers(options.num_threads, num_clusters);
   for (int qi : group->members) {
     (*set)[qi].cluster_rows.assign(num_clusters, {});
   }
-  // [shard][query index in set]: workers may not touch shared stats.
-  std::vector<std::vector<SearchStats>> shard_query_stats(
-      num_shards, std::vector<SearchStats>(set->size()));
+  // [worker][query index in set]: workers may not touch shared stats.
+  std::vector<std::vector<SearchStats>> worker_query_stats(
+      workers, std::vector<SearchStats>(set->size()));
 
-  auto handler = [&](int shard, ShardPool::Task&& task) {
-    const int c = static_cast<int>(task.cluster);
+  auto body = [&](int c, int w) {
     const SequenceView& seq = group->clusters.cluster(c);
-    if (!options.governance.Check().ok()) return;
     SharedClusterCache cache(group->catalog.get(),
                              std::min<int64_t>(seq.size(), kMaxBatchWindow));
     for (int qi : group->members) {
       SetQuery& sq = (*set)[qi];
       if (sq.query.limit_zero) continue;
+      SearchOptions search_opts;
+      if (workers == 1 && sq.query.limit > 0) {
+        search_opts.max_matches = sq.query.limit - sq.output.num_rows();
+        if (search_opts.max_matches <= 0) continue;
+      }
       if (!ClusterAccepted(sq.query, seq)) continue;
-      sq.cluster_rows[c] = RunQueryOnCluster(
-          &sq, seq, &cache, counters, options, /*max_matches=*/0,
-          &shard_query_stats[shard][qi]);
+      MultiQueryEvaluator evaluator(&sq.conjuncts, &cache, counters);
+      search_opts.governance = &options.governance;
+      search_opts.evaluator = &evaluator;
+      SearchStats* stats = &worker_query_stats[w][qi];
+      std::vector<Match> matches =
+          options.algorithm == SearchAlgorithm::kOps
+              ? OpsSearch(seq, sq.plan, stats, nullptr, search_opts)
+              : NaiveSearch(seq, sq.plan, stats, nullptr, search_opts);
+      std::vector<Row>& rows = sq.cluster_rows[c];
+      rows.reserve(matches.size());
+      for (const Match& match : matches) {
+        rows.push_back(ProjectMatch(sq.query, seq, match));
+      }
     }
+    return Status::OK();
   };
-
-  {
-    ShardPool pool(num_shards, options.shard_queue_capacity, handler);
-    for (int c = 0; c < num_clusters; ++c) {
-      int shard =
-          pool.ShardFor(EncodeClusterKey(group->clusters.cluster_key(c)));
-      pool.Push(shard, ShardPool::Task{Row{}, static_cast<uint64_t>(c), 0});
+  auto merge = [&](int c) {
+    for (int qi : group->members) {
+      SetQuery& sq = (*set)[qi];
+      for (Row& row : sq.cluster_rows[c]) {
+        if (sq.query.limit > 0 && sq.output.num_rows() >= sq.query.limit) {
+          break;
+        }
+        SQLTS_RETURN_IF_ERROR(sq.output.AppendRow(std::move(row)));
+      }
+      sq.cluster_rows[c] = {};
     }
-    pool.Finish();
-    SQLTS_RETURN_IF_ERROR(pool.first_error());
-  }
-  SQLTS_RETURN_IF_ERROR(options.governance.Check());
+    return Status::OK();
+  };
+  SQLTS_RETURN_IF_ERROR(RunClusterLoop(num_clusters, workers,
+                                       options.governance, body, merge));
 
   for (int qi : group->members) {
     SetQuery& sq = (*set)[qi];
-    for (int s = 0; s < num_shards; ++s) {
-      sq.stats += shard_query_stats[s][qi];
-    }
-    int64_t remaining =
-        sq.query.limit > 0 ? sq.query.limit : static_cast<int64_t>(-1);
-    for (int c = 0; c < num_clusters && remaining != 0; ++c) {
-      for (Row& row : sq.cluster_rows[c]) {
-        if (remaining == 0) break;
-        SQLTS_RETURN_IF_ERROR(sq.output.AppendRow(std::move(row)));
-        if (remaining > 0) --remaining;
-      }
+    for (const std::vector<SearchStats>& per_query : worker_query_stats) {
+      sq.stats += per_query[qi];
     }
     sq.cluster_rows.clear();
-    // Parallel cluster tasks cannot observe a cross-cluster LIMIT, so
-    // matches past the cutoff were found and then truncated here; clamp
-    // the reported count to keep matches == emitted rows at any thread
-    // count (the sequential path terminates the search at the limit).
+    // Matches past a LIMIT found at N workers were truncated at the
+    // merge; clamp the reported count to keep matches == emitted rows at
+    // any thread count (one worker terminates the search at the limit).
     if (sq.query.limit > 0 && sq.stats.matches > sq.query.limit) {
       sq.stats.matches = sq.query.limit;
     }
@@ -186,16 +139,8 @@ Status BuildQuerySet(const Schema& schema,
   for (size_t i = 0; i < queries.size(); ++i) {
     auto compiled = CompileQueryText(queries[i], schema);
     if (!compiled.ok()) return Prefixed(static_cast<int>(i), compiled.status());
-    if (options.compile.refuse_provably_empty) {
-      LintOptions lint_options;
-      lint_options.oracle = options.compile.oracle;
-      LintResult lint = LintQuery(*compiled, lint_options);
-      if (lint.has_errors()) {
-        return Prefixed(static_cast<int>(i),
-                        Status::InvalidArgument("query is provably empty: " +
-                                                SummarizeErrors(lint)));
-      }
-    }
+    Status refused = RefuseProvablyEmpty(*compiled, options.compile);
+    if (!refused.ok()) return Prefixed(static_cast<int>(i), refused);
     auto plan = CompilePattern(*compiled, options.compile);
     if (!plan.ok()) return Prefixed(static_cast<int>(i), plan.status());
     SetQuery sq(compiled->output_schema);
@@ -251,13 +196,7 @@ StatusOr<QuerySetResult> MultiQueryExecutor::Execute(
                            ClusteredSequence::Build(&input,
                                                     first.query.cluster_by,
                                                     first.query.sequence_by));
-    if (options.num_threads > 1 && group.clusters.num_clusters() > 1) {
-      SQLTS_RETURN_IF_ERROR(
-          ExecuteGroupSharded(&group, &set, options, &counters));
-    } else {
-      SQLTS_RETURN_IF_ERROR(
-          ExecuteGroupSequential(&group, &set, options, &counters));
-    }
+    SQLTS_RETURN_IF_ERROR(ExecuteGroup(&group, &set, options, &counters));
   }
 
   QuerySetResult result;

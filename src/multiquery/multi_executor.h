@@ -27,11 +27,11 @@ struct QuerySetResult {
 /// shared by several queries is evaluated at most once per tuple.
 ///
 /// Output equivalence: per-query rows are bit-identical to running the
-/// query alone with the same options, at any thread count.  With
-/// options.num_threads > 1 each scan group hash-partitions its
-/// clusters over a ShardPool (one task per cluster; a worker runs all
-/// of the group's matchers for its cluster) and rows merge back in
-/// cluster first-appearance order.  LIMIT queries are truncated to
+/// query alone with the same options, at any thread count.  Each scan
+/// group runs its clusters through the batch cluster loop
+/// (engine/cluster_loop.h) on options.num_threads workers — one body
+/// per cluster runs all of the group's matchers — and rows merge back
+/// in cluster first-appearance order.  LIMIT queries are truncated to
 /// their first `limit` rows in that same deterministic order.
 /// collect_trace is not supported here (traces are per-query sequential
 /// logs); per-query traces come back empty.

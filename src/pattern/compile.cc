@@ -1,5 +1,6 @@
 #include "pattern/compile.h"
 
+#include <algorithm>
 #include <sstream>
 
 namespace sqlts {
@@ -35,6 +36,12 @@ StatusOr<PatternPlan> CompilePattern(const CompiledQuery& query,
   // the mode for every element.
   bool all_positive = true;
   bool anchored = false;
+  bool looks_ahead = false;
+  int min_offset = 0;
+  auto read_back = [&](const ColumnRef& r) {
+    min_offset =
+        std::min(min_offset, r.relative ? r.total_offset : r.nav_offset);
+  };
   for (int i = 0; i < m; ++i) {
     const PatternElement& el = query.elements[i];
     star[i + 1] = el.star;
@@ -46,10 +53,15 @@ StatusOr<PatternPlan> CompilePattern(const CompiledQuery& query,
           all_positive = false;
         }
         if (!r.relative) anchored = true;
+        if (r.relative && r.total_offset > 0) looks_ahead = true;
+        read_back(r);
       });
     }
     preds.push_back(
         AnalyzePredicate(el.predicate, query.input_schema, &catalog));
+  }
+  for (const SelectItem& item : query.select) {
+    VisitColumnRefs(item.expr, read_back);
   }
   PatternPlan plan;
   plan.m = m;
@@ -57,6 +69,8 @@ StatusOr<PatternPlan> CompilePattern(const CompiledQuery& query,
   plan.predicates = std::move(predicates);
   for (int j = 1; j <= m; ++j) plan.has_star |= plan.star[j];
   plan.anchored_refs = anchored;
+  plan.min_offset = min_offset;
+  plan.looks_ahead = looks_ahead;
 
   OracleOptions oracle_options = options.oracle;
   oracle_options.gsw.positive_domain &= all_positive;

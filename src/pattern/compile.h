@@ -48,6 +48,13 @@ struct PatternPlan {
   /// purely relative (tuple-local) patterns the replayed trajectory is
   /// provably identical and the aggressive jumps stay sound.
   bool anchored_refs = false;
+  /// Most negative tuple offset, relative to an attempt's first tuple,
+  /// that a predicate or the SELECT list reads (0 when none): how far
+  /// back the streaming matcher must retain tuples.
+  int min_offset = 0;
+  /// True when a predicate reads a tuple after the one under test (a
+  /// positive relative offset), which streaming cannot serve.
+  bool looks_ahead = false;
 
   /// Human-readable compilation report (matrices + shift/next arrays).
   std::string ToString() const;

@@ -7,27 +7,34 @@
 
 namespace sqlts {
 
-Status Table::AppendRow(Row row) {
-  if (static_cast<int>(row.size()) != schema_.num_columns()) {
+Status CheckRow(const Schema& schema, const Row& row) {
+  if (static_cast<int>(row.size()) != schema.num_columns()) {
     return Status::InvalidArgument(
         "row arity " + std::to_string(row.size()) + " != schema arity " +
-        std::to_string(schema_.num_columns()));
+        std::to_string(schema.num_columns()));
   }
-  for (int c = 0; c < schema_.num_columns(); ++c) {
-    if (!row[c].is_null() && row[c].kind() != schema_.column(c).type) {
-      // Allow int literals to fill double columns (SQL numeric coercion).
-      if (schema_.column(c).type == TypeKind::kDouble &&
-          row[c].kind() == TypeKind::kInt64) {
-        row[c] = Value::Double(static_cast<double>(row[c].int64_value()));
-        continue;
-      }
-      return Status::TypeError(
-          "column '" + schema_.column(c).name + "' expects " +
-          std::string(TypeKindToString(schema_.column(c).type)) + ", got " +
-          std::string(TypeKindToString(row[c].kind())));
+  for (int c = 0; c < schema.num_columns(); ++c) {
+    const TypeKind want = schema.column(c).type;
+    if (row[c].is_null() || row[c].kind() == want) continue;
+    // Allow int literals to fill double columns (SQL numeric coercion).
+    if (want == TypeKind::kDouble && row[c].kind() == TypeKind::kInt64) {
+      continue;
     }
+    return Status::TypeError(
+        "column '" + schema.column(c).name + "' expects " +
+        std::string(TypeKindToString(want)) + ", got " +
+        std::string(TypeKindToString(row[c].kind())));
   }
+  return Status::OK();
+}
+
+Status Table::AppendRow(Row row) {
+  SQLTS_RETURN_IF_ERROR(CheckRow(schema_, row));
   for (int c = 0; c < schema_.num_columns(); ++c) {
+    if (row[c].kind() == TypeKind::kInt64 &&
+        schema_.column(c).type == TypeKind::kDouble) {
+      row[c] = Value::Double(static_cast<double>(row[c].int64_value()));
+    }
     columns_[c].push_back(std::move(row[c]));
   }
   return Status::OK();

@@ -10,6 +10,11 @@
 
 namespace sqlts {
 
+/// The checks Table::AppendRow applies: InvalidArgument on an arity
+/// mismatch, TypeError on a cell whose type does not fit its column
+/// (NULLs fit any column; int64 cells fit double columns).
+Status CheckRow(const Schema& schema, const Row& row);
+
 /// An in-memory relation stored column-wise.  This is the substrate the
 /// SQL-TS engine queries; rows are addressed by a dense 0-based index.
 class Table {

@@ -1,5 +1,7 @@
 // Unit tests for the GSW implication / satisfiability procedure.
 
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 #include "constraints/catalog.h"
@@ -326,6 +328,12 @@ struct WindowCase {
   bool implies;    // (lo1,hi1) ⊆ (lo2,hi2)
   bool exclusive;  // empty intersection
 };
+
+// Names the case "lo1_hi1_vs_lo2_hi2" in test names (gtest would
+// otherwise print the struct's raw bytes, padding included).
+void PrintTo(const WindowCase& c, std::ostream* os) {
+  *os << c.lo1 << "_" << c.hi1 << "_vs_" << c.lo2 << "_" << c.hi2;
+}
 
 class WindowSweep : public ::testing::TestWithParam<WindowCase> {};
 

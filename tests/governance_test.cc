@@ -142,6 +142,51 @@ TEST(Governance, CancellationReturnsWithinOnePush) {
   }
 }
 
+TEST(Governance, FinishNeverReportsAPartialCloseOutAsOk) {
+  // Every match completes only at end of stream (a rising star group
+  // runs to the last tuple), so all rows are emitted during Finish's
+  // close-out — where the row callback requests cancellation.
+  const char* query =
+      "SELECT X.price, COUNT(Y) FROM quote CLUSTER BY name "
+      "SEQUENCE BY date AS (X, *Y) WHERE Y.price > Y.previous.price";
+  for (int threads : {1, 4}) {
+    auto run = [&](bool cancel_on_row, Status* finish) {
+      ExecOptions options;
+      options.num_threads = threads;
+      CancelToken token = CancelToken::Cancellable();
+      options.governance.cancel = token;
+      size_t rows = 0;
+      auto exec = StreamingQueryExecutor::Create(
+          query, QuoteSchema(),
+          [&](const Row&) {
+            ++rows;
+            if (cancel_on_row) token.RequestCancel();
+          },
+          options);
+      EXPECT_TRUE(exec.ok()) << exec.status();
+      Date d(10000);
+      for (int i = 0; i < 5; ++i) {
+        for (const char* name : {"A", "B", "C"}) {
+          Status pushed = (*exec)->Push(QuoteRow(name, d.AddDays(i), 1.0 + i));
+          EXPECT_TRUE(pushed.ok()) << pushed;
+        }
+      }
+      *finish = (*exec)->Finish();
+      return rows;
+    };
+    Status full_status, cancelled_status;
+    const size_t full = run(false, &full_status);
+    ASSERT_TRUE(full_status.ok()) << full_status;
+    ASSERT_EQ(full, 3u);
+    const size_t delivered = run(true, &cancelled_status);
+    if (delivered < full) {
+      EXPECT_EQ(cancelled_status.code(), StatusCode::kCancelled)
+          << "threads=" << threads << ": " << delivered << " of " << full
+          << " rows delivered";
+    }
+  }
+}
+
 TEST(Governance, BatchExecutorHonorsGovernance) {
   Table table(QuoteSchema());
   Date d(10000);

@@ -1,5 +1,6 @@
-// Sharded execution tests: ShardPool mechanics, and determinism of the
-// parallel batch and streaming executors across thread counts.
+// Sharded execution tests: ShardPool and batch cluster-loop mechanics,
+// and determinism of the parallel batch and streaming executors across
+// thread counts.
 
 #include <atomic>
 #include <chrono>
@@ -14,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/cluster_loop.h"
 #include "engine/executor.h"
 #include "engine/shard_pool.h"
 #include "engine/stream_executor.h"
@@ -60,17 +62,18 @@ TEST(ShardPool, ShardForIsStableAndInRange) {
 }
 
 TEST(ShardPool, EncodeClusterKeyIsInjective) {
+  auto key = [](const Row& row) { return EncodeClusterKey(row, {0, 1}); };
   // Parts that concatenate equal must encode differently.
   Row a = {Value::String("ab"), Value::String("c")};
   Row b = {Value::String("a"), Value::String("bc")};
-  EXPECT_NE(EncodeClusterKey(a), EncodeClusterKey(b));
+  EXPECT_NE(key(a), key(b));
   // Separator and quote injection.
   Row c = {Value::String("a'\x1f'b"), Value::String("c")};
   Row d = {Value::String("a"), Value::String("b'\x1f'c")};
-  EXPECT_NE(EncodeClusterKey(c), EncodeClusterKey(d));
+  EXPECT_NE(key(c), key(d));
   // Same values encode equal.
   Row e = {Value::String("a'\x1f'b"), Value::String("c")};
-  EXPECT_EQ(EncodeClusterKey(c), EncodeClusterKey(e));
+  EXPECT_EQ(key(c), key(e));
 }
 
 TEST(ShardPool, PushBlocksWhileQueueFull) {
@@ -173,6 +176,79 @@ TEST(ShardPool, DrainQuiescesWithoutFinishing) {
   pool.Push(0, ShardPool::Task{Row{}, 0, 99});
   pool.Finish();
   EXPECT_EQ(handled.load(), 17);
+}
+
+TEST(ShardedExecution, ClusterLoopMergesInClusterOrderAtAnyWorkerCount) {
+  const int kClusters = 37;
+  for (int workers : {1, 2, 4, 8}) {
+    std::vector<int> produced(kClusters, -1);
+    std::vector<int> merged;
+    std::atomic<int> bodies{0};
+    Status st = RunClusterLoop(
+        kClusters, workers, ExecGovernance{},
+        [&](int c, int w) {
+          EXPECT_GE(w, 0);
+          EXPECT_LT(w, workers);
+          produced[c] = c * 10;
+          ++bodies;
+          return Status::OK();
+        },
+        [&](int c) {
+          merged.push_back(produced[c]);
+          return Status::OK();
+        });
+    ASSERT_TRUE(st.ok()) << st;
+    EXPECT_EQ(bodies.load(), kClusters);
+    ASSERT_EQ(merged.size(), static_cast<size_t>(kClusters));
+    for (int c = 0; c < kClusters; ++c) EXPECT_EQ(merged[c], c * 10);
+  }
+  EXPECT_EQ(ClusterLoopWorkers(8, 3), 3);
+  EXPECT_EQ(ClusterLoopWorkers(0, 3), 1);
+  EXPECT_EQ(ClusterLoopWorkers(4, 0), 1);
+}
+
+TEST(ShardedExecution, ClusterLoopCapturesWorkerExceptionsAndErrors) {
+  int merges = 0;
+  auto merge = [&](int) {
+    ++merges;
+    return Status::OK();
+  };
+  Status thrown = RunClusterLoop(
+      16, 4, ExecGovernance{},
+      [](int c, int) -> Status {
+        if (c == 5) throw std::runtime_error("body blew up");
+        return Status::OK();
+      },
+      merge);
+  EXPECT_EQ(thrown.code(), StatusCode::kInternal) << thrown;
+  EXPECT_NE(thrown.message().find("body blew up"), std::string::npos);
+  Status odd = RunClusterLoop(
+      16, 4, ExecGovernance{},
+      [](int c, int) -> Status {
+        if (c == 9) throw 42;  // not derived from std::exception
+        return Status::OK();
+      },
+      merge);
+  EXPECT_EQ(odd.code(), StatusCode::kInternal) << odd;
+  Status failed = RunClusterLoop(
+      16, 4, ExecGovernance{},
+      [](int c, int) {
+        return c == 3 ? Status::IoError("bad block") : Status::OK();
+      },
+      merge);
+  EXPECT_EQ(failed.code(), StatusCode::kIoError) << failed;
+  // A failed run merges nothing: no partial result reaches the caller.
+  EXPECT_EQ(merges, 0);
+
+  ExecGovernance cancelled;
+  cancelled.cancel = CancelToken::Cancellable();
+  cancelled.cancel.RequestCancel();
+  for (int workers : {1, 4}) {
+    Status st = RunClusterLoop(
+        16, workers, cancelled, [](int, int) { return Status::OK(); }, merge);
+    EXPECT_EQ(st.code(), StatusCode::kCancelled) << "workers=" << workers;
+  }
+  EXPECT_EQ(merges, 0);
 }
 
 TEST(ShardedExecution, WorkerExceptionSurfacesFromStreamingFinish) {

@@ -211,6 +211,43 @@ TEST(StreamExecutor, AgreesWithBatchExecutorOnPortfolio) {
   EXPECT_EQ((*exec)->stats().matches, batch->stats.matches);
 }
 
+TEST(StreamExecutor, EvictionKeepsTuplesTheSelectListNavigatesTo) {
+  // 4,097 falling prices, then a jump: the only match is X = tuple
+  // 4,096, Y = tuple 4,097, and SELECT reads X.previous = tuple 4,095.
+  // The matcher evicts once 4,096 tuples lie before the attempt's
+  // reachable window, so that window must cover the SELECT list's
+  // navigation too, not only the WHERE predicates'.
+  const std::string query =
+      "SELECT X.previous.price, X.price, Y.price FROM quote "
+      "CLUSTER BY name SEQUENCE BY date AS (X, Y) "
+      "WHERE X.price < 30000 AND Y.price > 40000";
+  Table table(QuoteSchema());
+  Date d0 = *Date::Parse("1990-01-01");
+  for (int i = 0; i < 4097; ++i) {
+    ASSERT_TRUE(table.AppendRow(QuoteRow("A", d0.AddDays(i), 20000 - i)).ok());
+  }
+  ASSERT_TRUE(table.AppendRow(QuoteRow("A", d0.AddDays(4097), 50000)).ok());
+  auto batch = QueryExecutor::Execute(table, query);
+  ASSERT_TRUE(batch.ok()) << batch.status();
+  ASSERT_EQ(batch->output.num_rows(), 1);
+  EXPECT_EQ(batch->output.at(0, 0).double_value(), 15905);
+
+  std::vector<Row> rows;
+  auto exec = StreamingQueryExecutor::Create(
+      query, QuoteSchema(), [&](const Row& r) { rows.push_back(r); });
+  ASSERT_TRUE(exec.ok()) << exec.status();
+  for (int64_t r = 0; r < table.num_rows(); ++r) {
+    ASSERT_TRUE((*exec)->Push(table.GetRow(r)).ok());
+  }
+  ASSERT_TRUE((*exec)->Finish().ok());
+  ASSERT_EQ(rows.size(), 1u);
+  const Row want = batch->output.GetRow(0);
+  ASSERT_EQ(rows[0].size(), want.size());
+  for (size_t c = 0; c < want.size(); ++c) {
+    EXPECT_EQ(rows[0][c].ToString(), want[c].ToString()) << "column " << c;
+  }
+}
+
 TEST(StreamExecutor, OutputSchemaExposed) {
   auto exec = StreamingQueryExecutor::Create(
       "SELECT X.name, COUNT(Y) AS n FROM quote CLUSTER BY name "
