@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "analysis/linter.h"
+#include "storage/sequence.h"
 
 namespace sqlts {
 
@@ -88,23 +89,18 @@ Status StreamingQueryExecutor::CheckSequenceOrder(const Row& row,
                                                   RouteInfo* info) {
   if (sequence_cols_.empty()) return Status::OK();
   if (info->has_last) {
-    // Lexicographic comparison of the full SEQUENCE BY tuple; a NULL or
-    // incomparable component ends the comparison (conservative accept).
-    int verdict = 0;
+    // Lexicographic over the full SEQUENCE BY tuple, in the order
+    // ClusteredSequence::Build sorts by: a NULL after a non-NULL key
+    // regresses like any other out-of-order key.
     for (size_t k = 0; k < sequence_cols_.size(); ++k) {
-      const Value& cur = row[sequence_cols_[k]];
-      const Value& prev = info->last_seq_key[k];
-      if (cur.is_null() || prev.is_null()) break;
-      auto cmp = cur.Compare(prev);
-      if (!cmp.ok()) break;
-      if (*cmp != 0) {
-        verdict = *cmp;
-        break;
+      const int col = sequence_cols_[k];
+      const int cmp = CompareKeyCells(query_.input_schema.column(col).type,
+                                      row[col], info->last_seq_key[k]);
+      if (cmp < 0) {
+        return Status::InvalidArgument(
+            "stream tuple out of SEQUENCE BY order within its cluster");
       }
-    }
-    if (verdict < 0) {
-      return Status::InvalidArgument(
-          "stream tuple out of SEQUENCE BY order within its cluster");
+      if (cmp > 0) break;
     }
   }
   info->last_seq_key.clear();
@@ -385,6 +381,18 @@ Status StreamingQueryExecutor::Restore(std::string_view bytes) {
     for (uint32_t k = 0; k < seq_vals; ++k) {
       SQLTS_ASSIGN_OR_RETURN(Value v, r.ReadValue());
       info.last_seq_key.push_back(std::move(v));
+    }
+    // The order guard compares these cells by column type, so they must
+    // have the shape a checked row gives them.
+    bool fits = !info.has_last || seq_vals == sequence_cols_.size();
+    for (size_t k = 0; fits && info.has_last && k < seq_vals; ++k) {
+      Row shape(query_.input_schema.num_columns());
+      shape[sequence_cols_[k]] = info.last_seq_key[k];
+      fits = CheckRow(query_.input_schema, shape).ok();
+    }
+    if (!fits) {
+      return Status::IoError(
+          "checkpoint SEQUENCE BY key does not fit the query's columns");
     }
     // Shard placement is a property of this executor's pool, not of the
     // checkpoint: recompute it, so thread counts may differ across the

@@ -187,7 +187,8 @@ class StreamingQueryExecutor {
 
   /// Looks up (or creates) the routing entry for `row`'s cluster.
   StatusOr<RouteInfo*> RouteFor(const Row& row);
-  /// Rejects rows that regress on the full SEQUENCE BY tuple.
+  /// Rejects rows that regress on the full SEQUENCE BY tuple under
+  /// CompareKeyCells, the order batch sorts by (NULL keys first).
   Status CheckSequenceOrder(const Row& row, RouteInfo* info);
   /// Applies the BadInputPolicy to a malformed-row verdict: fail fast
   /// with `why`, or count the drop and return OK.

@@ -6,8 +6,51 @@
 
 #include "common/statusor.h"
 #include "storage/table.h"
+#include "types/numeric_ops.h"
 
 namespace sqlts {
+
+/// Three-way comparison of two cells of one CLUSTER BY or SEQUENCE BY
+/// column whose schema type is `type`.  This is the one order both
+/// ClusteredSequence::Build and the streaming order guard use, so a
+/// stream is accepted exactly when batch would keep its arrival order:
+///  - NULL equals NULL and sorts before every value;
+///  - doubles follow num::CompareF64: NaN equals NaN and sorts above
+///    every number, and -0.0 equals 0.0.  An int64 cell of a double
+///    column (a pushed stream row that AppendRow has not converted yet)
+///    compares as the double AppendRow would store;
+///  - bools order false before true, strings bytewise, dates by day.
+/// Every other cell must hold `type`: AppendRow and FromColumns make
+/// each column homogeneous, so the comparison cannot fail.
+inline int CompareKeyCells(TypeKind type, const Value& x, const Value& y) {
+  const bool xn = x.holds_null(), yn = y.holds_null();
+  if (xn || yn) return xn == yn ? 0 : (xn ? -1 : 1);
+  auto three_way = [](const auto& a, const auto& b) {
+    return a < b ? -1 : (b < a ? 1 : 0);
+  };
+  switch (type) {
+    case TypeKind::kDate:
+      return three_way(*x.date_if(), *y.date_if());
+    case TypeKind::kInt64:
+      return three_way(*x.int64_if(), *y.int64_if());
+    case TypeKind::kDouble: {
+      auto f64 = [](const Value& v) {
+        const double* d = v.double_if();
+        return d != nullptr ? *d : static_cast<double>(*v.int64_if());
+      };
+      return num::CompareF64(f64(x), f64(y));
+    }
+    case TypeKind::kString: {
+      const int c = x.string_if()->compare(*y.string_if());
+      return c < 0 ? -1 : (c > 0 ? 1 : 0);
+    }
+    case TypeKind::kBool:
+      return three_way(*x.bool_if(), *y.bool_if());
+    case TypeKind::kNull:
+      break;
+  }
+  return 0;
+}
 
 /// One cluster of a table: an ordered run of row indices, all sharing the
 /// same CLUSTER BY key, sorted by the SEQUENCE BY key.  This is the input
@@ -67,9 +110,15 @@ class SequenceView {
 class ClusteredSequence {
  public:
   /// Partitions `table` by `cluster_by` columns (may be empty: a single
-  /// cluster) and sorts each partition by `sequence_by` columns
-  /// ascending.  Errors if any named column is missing or a sort key has
-  /// incomparable values.
+  /// cluster, or none for an empty table) and stably sorts each
+  /// partition by `sequence_by` columns ascending, both under
+  /// CompareKeyCells: NULL keys form one cluster and sort first, NaN
+  /// keys form one cluster and sort last, and -0.0 and 0.0 are one key.
+  /// Ties keep row-index order, and `cluster_key(i)` holds the cells of
+  /// cluster i's first row in table order.  NotFound if a named column
+  /// is missing; nothing else fails.  Linear time when each cluster's
+  /// rows already arrive in sequence order (the usual case for time
+  /// series).
   static StatusOr<ClusteredSequence> Build(
       const Table* table, const std::vector<std::string>& cluster_by,
       const std::vector<std::string>& sequence_by);

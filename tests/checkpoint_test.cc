@@ -4,6 +4,7 @@
 // including restoring at a different thread count than the checkpoint
 // was taken at.
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -11,6 +12,7 @@
 
 #include "engine/checkpoint.h"
 #include "engine/executor.h"
+#include "engine/shard_pool.h"
 #include "engine/stream.h"
 #include "engine/stream_executor.h"
 #include "test_util.h"
@@ -473,6 +475,50 @@ TEST(ExecutorCheckpoint, CorruptionFuzzNeverCrashes) {
   // kIoError path (checksum + bounds checks) actually fired.
   EXPECT_GT(rejected, kIters * 9 / 10);
   EXPECT_GT(io_errors, 0);
+}
+
+TEST(ExecutorCheckpoint, RestoreRejectsSequenceKeyOfWrongShape) {
+  // The order guard compares a cluster's last SEQUENCE BY key cell by
+  // cell under the column's type, so Restore refuses a payload (checksum
+  // intact) whose key has the wrong arity or a cell of the wrong kind.
+  const Row a = QuoteRow("A", Date(100), 10);
+  auto restore = [&](const std::vector<Value>& last_key)
+      -> std::unique_ptr<StreamingQueryExecutor> {
+    CheckpointWriter w;
+    w.WriteString(kPortfolioQuery);
+    w.WriteString(QuoteSchema().ToString());
+    w.WriteI64(1);  // consumed
+    w.WriteU64(1);  // push tag
+    w.WriteI64(0);  // skipped
+    w.WriteI64(0);  // emitted
+    w.WriteU64(1);  // one route
+    w.WriteString(EncodeClusterKey(a, {0}));
+    w.WriteU64(0);      // ordinal
+    w.WriteBool(true);  // accepted
+    w.WriteBool(true);  // has_last
+    w.WriteU32(static_cast<uint32_t>(last_key.size()));
+    for (const Value& v : last_key) w.WriteValue(v);
+    w.WriteBool(false);  // no matcher
+    auto exec = StreamingQueryExecutor::Create(kPortfolioQuery, QuoteSchema(),
+                                               nullptr);
+    SQLTS_CHECK(exec.ok()) << exec.status();
+    const Status st = (*exec)->Restore(w.Finalize());
+    if (!st.ok()) {
+      EXPECT_EQ(st.code(), StatusCode::kIoError) << st;
+      return nullptr;
+    }
+    return std::move(*exec);
+  };
+  EXPECT_EQ(restore({Value::String("x")}), nullptr);
+  EXPECT_EQ(restore({}), nullptr);
+  EXPECT_EQ(restore({Value::FromDate(Date(1)), Value::FromDate(Date(2))}),
+            nullptr);
+  // A well-shaped key restores, and the guard orders against it.
+  auto exec = restore({Value::FromDate(Date(101))});
+  ASSERT_NE(exec, nullptr);
+  EXPECT_EQ(exec->Push(a).code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(exec->Push(QuoteRow("A", Date(101), 11)).ok());
+  ASSERT_NE(restore({Value::Null()}), nullptr);
 }
 
 TEST(ExecutorCheckpoint, CheckpointFlushesBufferedShardedOutput) {

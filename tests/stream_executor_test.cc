@@ -90,6 +90,96 @@ TEST(StreamExecutor, RejectsOutOfOrderTuples) {
   EXPECT_TRUE((*exec)->Push(QuoteRow("B", d0.AddDays(-2), 1)).ok());
 }
 
+TEST(StreamExecutor, NullSequenceKeyAfterValueIsOutOfOrder) {
+  // Batch sorts NULL keys first, so a NULL after a dated tuple regresses
+  // and the guard must reject it rather than accept it and then skip the
+  // check for the tuple after it.
+  const std::string query =
+      "SELECT X.price, Y.price FROM quote CLUSTER BY name SEQUENCE BY "
+      "date AS (X, Y) WHERE Y.price < X.price";
+  const Date d0 = *Date::Parse("1999-01-04");
+  const Row a_late = QuoteRow("A", d0.AddDays(2), 10);
+  const Row a_null = {Value::String("A"), Value::Null(), Value::Double(5)};
+  const Row a_early = QuoteRow("A", d0, 20);
+
+  std::vector<Row> rows;
+  auto exec = StreamingQueryExecutor::Create(
+      query, QuoteSchema(), [&](const Row& r) { rows.push_back(r); });
+  ASSERT_TRUE(exec.ok()) << exec.status();
+  ASSERT_TRUE((*exec)->Push(a_late).ok());
+  EXPECT_EQ((*exec)->Push(a_null).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ((*exec)->Push(a_early).code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE((*exec)->Finish().ok());
+  EXPECT_TRUE(rows.empty());
+
+  // Under skip-and-count both regressions are dropped.
+  ExecOptions skip;
+  skip.governance.bad_input = BadInputPolicy::kSkipAndCount;
+  auto lenient = StreamingQueryExecutor::Create(query, QuoteSchema(),
+                                                nullptr, skip);
+  ASSERT_TRUE(lenient.ok()) << lenient.status();
+  for (const Row& r : {a_late, a_null, a_early}) {
+    ASSERT_TRUE((*lenient)->Push(r).ok());
+  }
+  EXPECT_EQ((*lenient)->rows_skipped(), 2);
+}
+
+TEST(StreamExecutor, IntCellsOfDoubleSequenceColumnCompareAsDoubles) {
+  // CheckRow admits int64 cells in a double column; the guard orders
+  // them as the doubles AppendRow will store.
+  Schema s;
+  ASSERT_TRUE(s.AddColumn("t", TypeKind::kDouble).ok());
+  ASSERT_TRUE(s.AddColumn("v", TypeKind::kDouble).ok());
+  auto exec = StreamingQueryExecutor::Create(
+      "SELECT X.v FROM s SEQUENCE BY t AS (X, Y) WHERE Y.v > X.v", s,
+      nullptr);
+  ASSERT_TRUE(exec.ok()) << exec.status();
+  auto push = [&](Value t) {
+    return (*exec)->Push({std::move(t), Value::Double(1)});
+  };
+  ASSERT_TRUE(push(Value::Int64(3)).ok());
+  EXPECT_EQ(push(Value::Double(2.5)).code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(push(Value::Double(3.0)).ok());
+  EXPECT_EQ(push(Value::Int64(2)).code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(push(Value::Int64(4)).ok());
+}
+
+TEST(StreamExecutor, NullSequenceKeysFirstAgreeWithBatch) {
+  // Pushed in batch order (NULL keys first, NULL ties in arrival
+  // order), every tuple is accepted and the output matches batch.
+  const std::string query =
+      "SELECT X.price, Y.price FROM quote CLUSTER BY name SEQUENCE BY "
+      "date AS (X, Y) WHERE Y.price < X.price";
+  const Date d0 = *Date::Parse("1999-01-04");
+  Table table(QuoteSchema());
+  ASSERT_TRUE(table.AppendRow({Value::String("A"), Value::Null(),
+                               Value::Double(9)}).ok());
+  ASSERT_TRUE(table.AppendRow({Value::String("A"), Value::Null(),
+                               Value::Double(7)}).ok());
+  ASSERT_TRUE(table.AppendRow(QuoteRow("A", d0, 8)).ok());
+  ASSERT_TRUE(table.AppendRow(QuoteRow("A", d0.AddDays(1), 3)).ok());
+  auto batch = QueryExecutor::Execute(table, query);
+  ASSERT_TRUE(batch.ok()) << batch.status();
+
+  std::vector<std::string> streamed;
+  auto exec = StreamingQueryExecutor::Create(
+      query, QuoteSchema(), [&](const Row& r) {
+        streamed.push_back(r[0].ToString() + "|" + r[1].ToString());
+      });
+  ASSERT_TRUE(exec.ok()) << exec.status();
+  for (int64_t r = 0; r < table.num_rows(); ++r) {
+    ASSERT_TRUE((*exec)->Push(table.GetRow(r)).ok()) << "row " << r;
+  }
+  ASSERT_TRUE((*exec)->Finish().ok());
+  std::vector<std::string> batched;
+  for (int64_t r = 0; r < batch->output.num_rows(); ++r) {
+    batched.push_back(batch->output.at(r, 0).ToString() + "|" +
+                      batch->output.at(r, 1).ToString());
+  }
+  EXPECT_EQ(streamed, batched);
+  EXPECT_EQ(streamed, (std::vector<std::string>{"9|7", "8|3"}));
+}
+
 TEST(StreamExecutor, AdversarialClusterKeysStayDistinct) {
   // Under separator-concatenation key encoding these two key tuples
   // collide: ('a'<US>'b', 'c') and ('a', 'b'<US>'c') both render as
