@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstring>
 #include <limits>
+#include <type_traits>
 
 #include "engine/checkpoint.h"
 
@@ -23,48 +23,40 @@ void PutU64(std::string* s, uint64_t v) {
 
 void PutI64(std::string* s, int64_t v) { PutU64(s, static_cast<uint64_t>(v)); }
 
-/// Bounds-checked little-endian reader over encoded block bytes.
+/// Little-endian load of a W-byte field (W = 0 loads 0); the caller has
+/// already checked the bytes are there.
+template <int W>
+uint64_t LoadLE(const char* p) {
+  uint64_t v = 0;
+  for (int b = 0; b < W; ++b) {
+    v |= static_cast<uint64_t>(static_cast<uint8_t>(p[b])) << (8 * b);
+  }
+  return v;
+}
+
+/// Bounds-checked little-endian reader over a block's header fields.
 class Cursor {
  public:
   explicit Cursor(std::string_view data) : data_(data) {}
 
-  bool Need(size_t n) const { return data_.size() - pos_ >= n; }
-  size_t remaining() const { return data_.size() - pos_; }
-
-  StatusOr<uint8_t> U8() {
-    if (!Need(1)) return Truncated();
-    return static_cast<uint8_t>(data_[pos_++]);
-  }
-  StatusOr<uint32_t> U32() {
-    if (!Need(4)) return Truncated();
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(static_cast<uint8_t>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 4;
-    return v;
-  }
-  StatusOr<uint64_t> U64() {
-    if (!Need(8)) return Truncated();
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(static_cast<uint8_t>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 8;
-    return v;
-  }
+  /// The bytes not yet consumed.
+  std::string_view rest() const { return data_.substr(pos_); }
+  StatusOr<uint8_t> U8() { return Load<1, uint8_t>(); }
+  StatusOr<uint32_t> U32() { return Load<4, uint32_t>(); }
+  StatusOr<uint64_t> U64() { return Load<8, uint64_t>(); }
   StatusOr<std::string_view> Bytes(size_t n) {
-    if (!Need(n)) return Truncated();
-    std::string_view v = data_.substr(pos_, n);
+    if (data_.size() - pos_ < n) {
+      return Status::ParseError("columnar block: truncated payload");
+    }
     pos_ += n;
-    return v;
+    return data_.substr(pos_ - n, n);
   }
 
  private:
-  static Status Truncated() {
-    return Status::ParseError("columnar block: truncated payload");
+  template <int W, typename T>
+  StatusOr<T> Load() {
+    SQLTS_ASSIGN_OR_RETURN(std::string_view b, Bytes(W));
+    return static_cast<T>(LoadLE<W>(b.data()));
   }
   std::string_view data_;
   size_t pos_ = 0;
@@ -78,16 +70,14 @@ int64_t CellI64(const Value& v, TypeKind type) {
              : v.int64_value();
 }
 
-Value I64Cell(int64_t raw, TypeKind type, Status* bad) {
-  if (type == TypeKind::kDate) {
-    if (raw < std::numeric_limits<int32_t>::min() ||
-        raw > std::numeric_limits<int32_t>::max()) {
-      *bad = Status::ParseError("columnar block: date out of range");
-      return Value::Null();
-    }
-    return Value::FromDate(Date(static_cast<int32_t>(raw)));
+/// The int64 or date cell holding `raw`; NULL for a date outside int32.
+Value I64Cell(int64_t raw, TypeKind type) {
+  if (type != TypeKind::kDate) return Value::Int64(raw);
+  if (raw < std::numeric_limits<int32_t>::min() ||
+      raw > std::numeric_limits<int32_t>::max()) {
+    return Value::Null();
   }
-  return Value::Int64(raw);
+  return Value::FromDate(Date(static_cast<int32_t>(raw)));
 }
 
 int ForWidth(uint64_t range) {
@@ -146,60 +136,6 @@ std::string EncodeI64s(const std::vector<int64_t>& vals,
   return out;
 }
 
-StatusOr<std::vector<int64_t>> DecodeI64s(std::string_view bytes,
-                                          BlockEncoding encoding, size_t n) {
-  std::vector<int64_t> vals;
-  vals.reserve(n);
-  Cursor cur(bytes);
-  switch (encoding) {
-    case BlockEncoding::kRawI64: {
-      for (size_t i = 0; i < n; ++i) {
-        SQLTS_ASSIGN_OR_RETURN(uint64_t v, cur.U64());
-        vals.push_back(static_cast<int64_t>(v));
-      }
-      break;
-    }
-    case BlockEncoding::kForI64: {
-      SQLTS_ASSIGN_OR_RETURN(uint64_t lo, cur.U64());
-      SQLTS_ASSIGN_OR_RETURN(uint8_t width, cur.U8());
-      if (width != 0 && width != 1 && width != 2 && width != 4 &&
-          width != 8) {
-        return Status::ParseError("columnar block: bad FOR width");
-      }
-      for (size_t i = 0; i < n; ++i) {
-        uint64_t d = 0;
-        if (width > 0) {
-          SQLTS_ASSIGN_OR_RETURN(std::string_view raw, cur.Bytes(width));
-          for (int b = 0; b < width; ++b) {
-            d |= static_cast<uint64_t>(static_cast<uint8_t>(raw[b]))
-                 << (8 * b);
-          }
-        }
-        vals.push_back(static_cast<int64_t>(lo + d));
-      }
-      break;
-    }
-    case BlockEncoding::kRleI64: {
-      SQLTS_ASSIGN_OR_RETURN(uint32_t runs, cur.U32());
-      for (uint32_t r = 0; r < runs; ++r) {
-        SQLTS_ASSIGN_OR_RETURN(uint64_t v, cur.U64());
-        SQLTS_ASSIGN_OR_RETURN(uint32_t len, cur.U32());
-        if (len == 0 || vals.size() + len > n) {
-          return Status::ParseError("columnar block: bad RLE run");
-        }
-        vals.insert(vals.end(), len, static_cast<int64_t>(v));
-      }
-      break;
-    }
-    default:
-      return Status::ParseError("columnar block: encoding/type mismatch");
-  }
-  if (vals.size() != n || cur.remaining() != 0) {
-    return Status::ParseError("columnar block: length mismatch");
-  }
-  return vals;
-}
-
 std::string EncodeDict(const std::vector<const std::string*>& vals) {
   // Sorted unique dictionary with common-prefix compression.
   std::vector<const std::string*> sorted(vals);
@@ -237,48 +173,157 @@ std::string EncodeDict(const std::vector<const std::string*>& vals) {
   return out;
 }
 
-StatusOr<std::vector<std::string>> DecodeDict(std::string_view bytes,
-                                              size_t n) {
+/// Calls `f(std::integral_constant<int, W>{})` for a byte width W in
+/// {0, 1, 2, 4, 8}, so the per-cell loads see a constant width.
+template <typename F>
+Status WithWidth(int width, F f) {
+  switch (width) {
+    case 0: return f(std::integral_constant<int, 0>{});
+    case 1: return f(std::integral_constant<int, 1>{});
+    case 2: return f(std::integral_constant<int, 2>{});
+    case 4: return f(std::integral_constant<int, 4>{});
+    default: return f(std::integral_constant<int, 8>{});
+  }
+}
+
+/// ParseError unless `bytes` is `need` long; a longer one is `too_long`.
+Status ExactSize(std::string_view bytes, size_t need, const char* too_long) {
+  if (bytes.size() < need) {
+    return Status::ParseError("columnar block: truncated payload");
+  }
+  if (bytes.size() > need) return Status::ParseError(too_long);
+  return Status::OK();
+}
+
+constexpr const char* kLengthMismatch = "columnar block: length mismatch";
+constexpr const char* kTrailingBytes = "columnar block: trailing bytes";
+
+/// Appends `n` int64 or date cells, cell i being `get(i)`.  The type is
+/// settled once per call, not per cell.
+template <typename Get>
+Status PutI64Cells(TypeKind type, size_t n, Get get, std::vector<Value>* out) {
+  if (type == TypeKind::kInt64) {
+    for (size_t i = 0; i < n; ++i) out->push_back(Value::Int64(get(i)));
+    return Status::OK();
+  }
+  for (size_t i = 0; i < n; ++i) {
+    out->push_back(I64Cell(get(i), type));
+    if (out->back().holds_null()) {
+      return Status::ParseError("columnar block: date out of range");
+    }
+  }
+  return Status::OK();
+}
+
+Status DecodeI64Cells(std::string_view bytes, BlockEncoding encoding,
+                      TypeKind type, size_t n, std::vector<Value>* out) {
+  Cursor cur(bytes);
+  switch (encoding) {
+    case BlockEncoding::kRawI64:  // as FOR from 0 with 8-byte deltas
+    case BlockEncoding::kForI64: {
+      uint64_t lo = 0;
+      uint8_t width = 8;
+      if (encoding == BlockEncoding::kForI64) {
+        SQLTS_ASSIGN_OR_RETURN(lo, cur.U64());
+        SQLTS_ASSIGN_OR_RETURN(width, cur.U8());
+      }
+      if (width > 8 || !(width == 0 || std::has_single_bit(width))) {
+        return Status::ParseError("columnar block: bad FOR width");
+      }
+      SQLTS_RETURN_IF_ERROR(ExactSize(cur.rest(), n * width, kLengthMismatch));
+      const char* p = cur.rest().data();
+      return WithWidth(width, [&](auto w) {
+        constexpr int W = decltype(w)::value;
+        return PutI64Cells(
+            type, n,
+            [lo, p](size_t i) { return int64_t(lo + LoadLE<W>(p + W * i)); },
+            out);
+      });
+    }
+    case BlockEncoding::kRleI64: {
+      // Every run is checked before the first cell is emitted.
+      SQLTS_ASSIGN_OR_RETURN(uint32_t runs, cur.U32());
+      const char* p = cur.rest().data();
+      size_t total = 0;
+      for (uint32_t r = 0; r < runs; ++r) {
+        SQLTS_ASSIGN_OR_RETURN(std::string_view run, cur.Bytes(12));
+        const uint64_t len = LoadLE<4>(run.data() + 8);
+        if (len == 0 || total + len > n) {
+          return Status::ParseError("columnar block: bad RLE run");
+        }
+        total += len;
+      }
+      if (total != n || !cur.rest().empty()) {
+        return Status::ParseError(kLengthMismatch);
+      }
+      for (size_t r = 0; r < runs; ++r) {
+        const int64_t v = static_cast<int64_t>(LoadLE<8>(p + 12 * r));
+        SQLTS_RETURN_IF_ERROR(PutI64Cells(
+            type, LoadLE<4>(p + 12 * r + 8), [v](size_t) { return v; }, out));
+      }
+      return Status::OK();
+    }
+    default:
+      return Status::ParseError("columnar block: encoding/type mismatch");
+  }
+}
+
+/// Dictionary block: the entries are decoded once, as the cells they
+/// become, and each row copies its entry.
+Status DecodeDictCells(std::string_view bytes, size_t n,
+                       std::vector<Value>* out) {
   Cursor cur(bytes);
   SQLTS_ASSIGN_OR_RETURN(uint32_t dict_size, cur.U32());
   if (dict_size > bytes.size()) {
     return Status::ParseError("columnar block: dictionary too large");
   }
-  std::vector<std::string> dict;
-  dict.reserve(dict_size);
+  std::vector<Value> dict;
+  std::string entry;
   for (uint32_t i = 0; i < dict_size; ++i) {
     SQLTS_ASSIGN_OR_RETURN(uint32_t prefix, cur.U32());
     SQLTS_ASSIGN_OR_RETURN(uint32_t suffix, cur.U32());
-    if (i == 0 ? prefix != 0 : prefix > dict[i - 1].size()) {
+    if (prefix > entry.size()) {  // the first entry has no prefix
       return Status::ParseError("columnar block: bad dictionary prefix");
     }
     SQLTS_ASSIGN_OR_RETURN(std::string_view tail, cur.Bytes(suffix));
-    std::string entry =
-        i == 0 ? std::string() : dict[i - 1].substr(0, prefix);
+    entry.resize(prefix);
     entry.append(tail);
-    dict.push_back(std::move(entry));
+    dict.push_back(Value::String(entry));
   }
   SQLTS_ASSIGN_OR_RETURN(uint8_t width, cur.U8());
   if (width != 1 && width != 2 && width != 4) {
     return Status::ParseError("columnar block: bad dictionary index width");
   }
-  std::vector<std::string> vals;
-  vals.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    SQLTS_ASSIGN_OR_RETURN(std::string_view raw, cur.Bytes(width));
-    uint32_t idx = 0;
-    for (int b = 0; b < width; ++b) {
-      idx |= static_cast<uint32_t>(static_cast<uint8_t>(raw[b])) << (8 * b);
+  SQLTS_RETURN_IF_ERROR(ExactSize(cur.rest(), n * width, kTrailingBytes));
+  const char* p = cur.rest().data();
+  return WithWidth(width, [&](auto w) {
+    constexpr int W = decltype(w)::value;
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t idx = LoadLE<W>(p + W * i);
+      if (idx >= dict_size) {
+        return Status::ParseError("columnar block: dictionary index range");
+      }
+      out->push_back(dict[idx]);
     }
-    if (idx >= dict_size) {
-      return Status::ParseError("columnar block: dictionary index range");
+    return Status::OK();
+  });
+}
+
+/// Moves the dense cells out[base, end) to their rows among the `rows`
+/// cells from `base`, NULL where `bitmap` has a clear bit.  Going
+/// backwards reads each dense slot before its row overwrites it.
+void SpreadNulls(std::string_view bitmap, int rows, size_t base,
+                 std::vector<Value>* out) {
+  size_t k = out->size();
+  out->resize(base + static_cast<size_t>(rows));
+  for (int r = rows - 1; r >= 0; --r) {
+    Value& slot = (*out)[base + r];
+    if ((static_cast<uint8_t>(bitmap[r >> 3]) >> (r & 7)) & 1) {
+      if (--k != base + r) slot = std::move((*out)[k]);
+    } else {
+      slot = Value::Null();
     }
-    vals.push_back(dict[idx]);
   }
-  if (cur.remaining() != 0) {
-    return Status::ParseError("columnar block: trailing bytes");
-  }
-  return vals;
 }
 
 }  // namespace
@@ -370,9 +415,8 @@ std::string EncodeColumnBlock(const std::vector<Value>& col, int64_t start,
         if (want_bloom) BloomAdd(&sketch.bloom, BloomHashInt64(x));
       }
       if (!first) {
-        Status ignored = Status::OK();
-        sketch.min = I64Cell(lo, type, &ignored);
-        sketch.max = I64Cell(hi, type, &ignored);
+        sketch.min = I64Cell(lo, type);
+        sketch.max = I64Cell(hi, type);
       }
       payload = EncodeI64s(vals, &meta->encoding);
       break;
@@ -484,90 +528,40 @@ Status DecodeColumnBlock(std::string_view bytes, BlockEncoding encoding,
     }
   }
   const size_t n = static_cast<size_t>(rows - null_count);
-  auto non_null = [&](int r) {
-    return null_count == 0 ||
-           ((static_cast<uint8_t>(bitmap[r >> 3]) >> (r & 7)) & 1) != 0;
-  };
-
+  const size_t base = out->size();
+  if ((type == TypeKind::kDouble && encoding != BlockEncoding::kRawF64) ||
+      (type == TypeKind::kBool && encoding != BlockEncoding::kRawBool) ||
+      (type == TypeKind::kString && encoding != BlockEncoding::kDict)) {
+    return Status::ParseError("columnar block: encoding/type mismatch");
+  }
   switch (type) {
     case TypeKind::kInt64:
-    case TypeKind::kDate: {
-      if (encoding != BlockEncoding::kRawI64 &&
-          encoding != BlockEncoding::kForI64 &&
-          encoding != BlockEncoding::kRleI64) {
-        return Status::ParseError("columnar block: encoding/type mismatch");
-      }
-      SQLTS_ASSIGN_OR_RETURN(std::vector<int64_t> vals,
-                             DecodeI64s(bytes, encoding, n));
-      size_t k = 0;
-      Status bad = Status::OK();
-      for (int r = 0; r < rows; ++r) {
-        if (!non_null(r)) {
-          out->push_back(Value::Null());
-          continue;
-        }
-        out->push_back(I64Cell(vals[k++], type, &bad));
-        if (!bad.ok()) return bad;
-      }
-      return Status::OK();
-    }
-    case TypeKind::kDouble: {
-      if (encoding != BlockEncoding::kRawF64) {
-        return Status::ParseError("columnar block: encoding/type mismatch");
-      }
-      Cursor cur(bytes);
-      std::vector<double> vals;
-      vals.reserve(n);
+    case TypeKind::kDate:
+      SQLTS_RETURN_IF_ERROR(DecodeI64Cells(bytes, encoding, type, n, out));
+      break;
+    case TypeKind::kDouble:
+      SQLTS_RETURN_IF_ERROR(ExactSize(bytes, n * 8, kTrailingBytes));
       for (size_t i = 0; i < n; ++i) {
-        SQLTS_ASSIGN_OR_RETURN(uint64_t raw, cur.U64());
-        vals.push_back(std::bit_cast<double>(raw));
+        const uint64_t bits = LoadLE<8>(bytes.data() + 8 * i);
+        out->push_back(Value::Double(std::bit_cast<double>(bits)));
       }
-      if (cur.remaining() != 0) {
-        return Status::ParseError("columnar block: trailing bytes");
-      }
-      size_t k = 0;
-      for (int r = 0; r < rows; ++r) {
-        out->push_back(non_null(r) ? Value::Double(vals[k++])
-                                   : Value::Null());
-      }
-      return Status::OK();
-    }
-    case TypeKind::kBool: {
-      if (encoding != BlockEncoding::kRawBool) {
-        return Status::ParseError("columnar block: encoding/type mismatch");
-      }
-      if (bytes.size() != n) {
-        return Status::ParseError("columnar block: length mismatch");
-      }
-      size_t k = 0;
-      for (int r = 0; r < rows; ++r) {
-        if (!non_null(r)) {
-          out->push_back(Value::Null());
-          continue;
-        }
-        const uint8_t b = static_cast<uint8_t>(bytes[k++]);
+      break;
+    case TypeKind::kBool:
+      if (bytes.size() != n) return Status::ParseError(kLengthMismatch);
+      for (size_t i = 0; i < n; ++i) {
+        const uint8_t b = static_cast<uint8_t>(bytes[i]);
         if (b > 1) return Status::ParseError("columnar block: bad bool");
         out->push_back(Value::Bool(b != 0));
       }
-      return Status::OK();
-    }
-    case TypeKind::kString: {
-      if (encoding != BlockEncoding::kDict) {
-        return Status::ParseError("columnar block: encoding/type mismatch");
-      }
-      SQLTS_ASSIGN_OR_RETURN(std::vector<std::string> vals,
-                             DecodeDict(bytes, n));
-      size_t k = 0;
-      for (int r = 0; r < rows; ++r) {
-        out->push_back(non_null(r) ? Value::String(std::move(vals[k++]))
-                                   : Value::Null());
-      }
-      return Status::OK();
-    }
-    case TypeKind::kNull:
+      break;
+    case TypeKind::kString:
+      SQLTS_RETURN_IF_ERROR(DecodeDictCells(bytes, n, out));
+      break;
+    default:  // kNull, or no type at all
       return Status::ParseError("columnar block: untyped column");
   }
-  return Status::ParseError("columnar block: unknown encoding");
+  if (null_count > 0) SpreadNulls(bitmap, rows, base, out);
+  return Status::OK();
 }
 
 std::string EncodeFooter(const ColumnarFooter& footer) {
@@ -760,6 +754,12 @@ StatusOr<ColumnarFooter> DecodeFooter(std::string_view payload,
           (!m.sketch.bloom.empty() &&
            m.sketch.bloom.size() != kColBloomBytes)) {
         return Status::ParseError("columnar footer: bad block extent");
+      }
+      // A column's blocks lie back to back in block order (the writer's
+      // layout), so the reader fetches any block range in one read.
+      if (b > 0 && m.offset != footer.columns[c][b - 1].offset +
+                                   footer.columns[c][b - 1].size) {
+        return Status::ParseError("columnar footer: blocks not back to back");
       }
       // Zone values must be NULL or match the column type; anything else
       // would let a corrupted footer feed the skipping oracle garbage.

@@ -3,28 +3,27 @@
 
 #include <atomic>
 #include <cstdint>
-#include <fstream>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "colstore/format.h"
 #include "common/statusor.h"
-#include "common/thread_annotations.h"
 #include "storage/table.h"
 
 namespace sqlts {
 
-/// Buffered random-access reader over a `.sqlc` columnar container.
+/// Random-access reader over a `.sqlc` columnar container.
 ///
 /// Open() validates the header, loads and checksum-verifies the footer,
-/// and validates the whole directory (DecodeFooter) — but reads no block
-/// data.  Block bytes are fetched lazily, verified against their
-/// per-block FNV-1a checksum, and decoded on demand, so blocks the zone
-/// maps prove irrelevant cost zero I/O.  Fetches are serialized on an
-/// internal mutex (decode happens outside it), making the reader safe
-/// to share across the sharded executor's workers.
+/// and validates the whole directory (DecodeFooter), including that each
+/// column's blocks lie back to back in block order — but reads no block
+/// data.  ReadBlockRange fetches each column's extent of the range with
+/// one positional read (in place for OpenBytes), verifies every block's
+/// FNV-1a checksum on its slice of that extent, and decodes the block
+/// straight into the table's cells, so blocks the zone maps prove
+/// irrelevant cost zero I/O.  Reads share no file position and no lock,
+/// so the reader is safe to share across the sharded executor's workers.
 class ColumnarReader {
  public:
   /// Opens a container file.  Magic/version/footer-checksum mismatches
@@ -40,6 +39,8 @@ class ColumnarReader {
   /// auto-detection; false on unreadable or short files).
   static bool SniffFile(const std::string& path);
   static bool SniffBytes(std::string_view bytes);
+
+  ~ColumnarReader();
 
   const ColumnarFooter& footer() const { return footer_; }
   const Schema& schema() const { return footer_.schema; }
@@ -60,17 +61,14 @@ class ColumnarReader {
 
  private:
   ColumnarReader() = default;
-
-  /// Fetches + checksum-verifies the encoded bytes of (col, block).
-  StatusOr<std::string> FetchBlockBytes(int col, int block);
+  ColumnarReader(const ColumnarReader&) = delete;
+  ColumnarReader& operator=(const ColumnarReader&) = delete;
 
   ColumnarFooter footer_;
   uint64_t file_size_ = 0;
 
-  std::mutex mu_;
-  std::ifstream file_ GUARDED_BY(mu_);  // file-backed mode
-  bool in_memory_ = false;
-  std::string buffer_;  // in-memory mode (immutable after Open)
+  int fd_ = -1;          // file-backed mode (read with pread)
+  std::string buffer_;  // in-memory mode (immutable after OpenBytes)
   std::atomic<int64_t> bytes_read_{0};
 };
 

@@ -1,6 +1,9 @@
 #include "engine/shard_pool.h"
 
+#include <bit>
+#include <cmath>
 #include <exception>
+#include <limits>
 
 #include "common/logging.h"
 #include "types/value.h"
@@ -9,12 +12,26 @@ namespace sqlts {
 namespace {
 
 /// One type-tagged, length-prefixed key part.  Strings use their raw
-/// bytes (ToString's display quoting is not escape-safe); other kinds
-/// use their canonical rendering.
-void AppendKeyPart(const Value& v, std::string* out) {
-  std::string part =
-      v.kind() == TypeKind::kString ? v.string_value() : v.ToString();
-  *out += static_cast<char>('0' + static_cast<int>(v.kind()));
+/// bytes (ToString's display quoting is not escape-safe).  A non-NULL
+/// cell of a DOUBLE column is its exact little-endian bit pattern, with
+/// CompareKeyCells' equality: an int64 cell as the double it stands for,
+/// -0.0 as 0.0 and every NaN as one NaN.  Other kinds use their
+/// canonical rendering.
+void AppendKeyPart(TypeKind type, const Value& v, std::string* out) {
+  TypeKind tag = v.kind();
+  std::string part;
+  if (type == TypeKind::kDouble && !v.holds_null()) {
+    tag = TypeKind::kDouble;
+    const double* d = v.double_if();
+    double x = d != nullptr ? *d : static_cast<double>(*v.int64_if());
+    if (x == 0) x = 0.0;
+    if (std::isnan(x)) x = std::numeric_limits<double>::quiet_NaN();
+    const uint64_t bits = std::bit_cast<uint64_t>(x);
+    for (int i = 0; i < 8; ++i) part += static_cast<char>(bits >> (8 * i));
+  } else {
+    part = tag == TypeKind::kString ? v.string_value() : v.ToString();
+  }
+  *out += static_cast<char>('0' + static_cast<int>(tag));
   *out += std::to_string(part.size());
   *out += ':';
   *out += part;
@@ -28,9 +45,10 @@ SearchStats TotalSearchStats(const std::vector<ShardStats>& shards) {
   return total;
 }
 
-std::string EncodeClusterKey(const Row& row, const std::vector<int>& cols) {
+std::string EncodeClusterKey(const Schema& schema, const Row& row,
+                             const std::vector<int>& cols) {
   std::string key;
-  for (int c : cols) AppendKeyPart(row[c], &key);
+  for (int c : cols) AppendKeyPart(schema.column(c).type, row[c], &key);
   return key;
 }
 

@@ -47,11 +47,14 @@ struct ShardStats {
 /// Sum of the per-shard matcher counters.
 SearchStats TotalSearchStats(const std::vector<ShardStats>& shards);
 
-/// Injective encoding of the cluster-key values `row[cols...]` as a map
-/// key.  Each part is type-tagged and length-prefixed, so no value
-/// content (separators, quotes, embedded NULs) can make two distinct
-/// key tuples encode equal.
-std::string EncodeClusterKey(const Row& row, const std::vector<int>& cols);
+/// Encoding of the cluster-key values `row[cols...]` as a map key, equal
+/// exactly when the tuples are equal under CompareKeyCells with each
+/// column's `schema` type (the equality batch clustering groups by).
+/// Each part is type-tagged and length-prefixed, so no value content
+/// (separators, quotes, embedded NULs) can make two distinct key tuples
+/// encode equal.
+std::string EncodeClusterKey(const Schema& schema, const Row& row,
+                             const std::vector<int>& cols);
 
 /// Fixed-size pool of shard workers for per-cluster parallelism in
 /// streaming execution (batch drivers use engine/cluster_loop.h).

@@ -66,7 +66,7 @@ StreamingQueryExecutor::~StreamingQueryExecutor() {
 
 StatusOr<StreamingQueryExecutor::RouteInfo*>
 StreamingQueryExecutor::RouteFor(const Row& row) {
-  std::string key = EncodeClusterKey(row, cluster_cols_);
+  std::string key = EncodeClusterKey(query_.input_schema, row, cluster_cols_);
   auto it = routes_.find(key);
   if (it != routes_.end()) return &it->second;
 

@@ -46,24 +46,6 @@ StatusOr<TypeKind> TypeKindFromString(std::string_view name) {
                                  "'");
 }
 
-TypeKind Value::kind() const {
-  switch (v_.index()) {
-    case 0:
-      return TypeKind::kNull;
-    case 1:
-      return TypeKind::kBool;
-    case 2:
-      return TypeKind::kInt64;
-    case 3:
-      return TypeKind::kDouble;
-    case 4:
-      return TypeKind::kString;
-    case 5:
-      return TypeKind::kDate;
-  }
-  return TypeKind::kNull;
-}
-
 bool Value::bool_value() const {
   SQLTS_CHECK(kind() == TypeKind::kBool) << "not a bool: " << ToString();
   return std::get<bool>(v_);

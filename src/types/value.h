@@ -5,6 +5,7 @@
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <variant>
 
 #include "common/statusor.h"
@@ -43,7 +44,8 @@ class Value {
   static Value String(std::string s) { return Value(Payload(std::move(s))); }
   static Value FromDate(Date d) { return Value(Payload(d)); }
 
-  TypeKind kind() const;
+  /// The payload's alternatives are declared in TypeKind order.
+  TypeKind kind() const { return static_cast<TypeKind>(v_.index()); }
 
   bool is_null() const { return kind() == TypeKind::kNull; }
   bool is_numeric() const {
@@ -95,6 +97,9 @@ class Value {
  private:
   using Payload =
       std::variant<std::monostate, bool, int64_t, double, std::string, Date>;
+  static_assert(std::is_same_v<std::variant_alternative_t<
+                     static_cast<size_t>(TypeKind::kDate), Payload>,
+                 Date>);
   explicit Value(Payload v) : v_(std::move(v)) {}
 
   Payload v_;

@@ -492,7 +492,7 @@ TEST(ExecutorCheckpoint, RestoreRejectsSequenceKeyOfWrongShape) {
     w.WriteI64(0);  // skipped
     w.WriteI64(0);  // emitted
     w.WriteU64(1);  // one route
-    w.WriteString(EncodeClusterKey(a, {0}));
+    w.WriteString(EncodeClusterKey(QuoteSchema(), a, {0}));
     w.WriteU64(0);      // ordinal
     w.WriteBool(true);  // accepted
     w.WriteBool(true);  // has_last

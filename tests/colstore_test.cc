@@ -6,9 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
+#include <limits>
 #include <random>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -16,6 +20,7 @@
 #include "colstore/format.h"
 #include "colstore/reader.h"
 #include "colstore/writer.h"
+#include "engine/checkpoint.h"
 #include "storage/csv.h"
 #include "storage/table.h"
 
@@ -409,6 +414,442 @@ TEST(ColumnarCorruption, BitflipFuzz) {
   // differences, and the header/footer fields are validated, so a flip
   // in any live byte is caught.
   EXPECT_GT(detected, kIters * 9 / 10);
+}
+
+
+// ---------------------------------------------------------------------------
+// Block decoder: EncodeColumnBlock -> DecodeColumnBlock round trips over
+// every type and encoding, and one malformed block per typed error.
+// ---------------------------------------------------------------------------
+
+/// Exact cell identity: same kind, and for doubles the same bit pattern
+/// (so NaN, -0.0 and 0.0 are told apart).
+bool SameCell(const Value& a, const Value& b) {
+  if (a.kind() != b.kind()) return false;
+  if (a.double_if() != nullptr) {
+    return std::bit_cast<uint64_t>(*a.double_if()) ==
+           std::bit_cast<uint64_t>(*b.double_if());
+  }
+  return a.StructurallyEquals(b);
+}
+
+/// Cell `i` of a generated column: `shape` picks the value pattern, so
+/// the encoder's choices (FOR of each width, RLE, dictionaries) all show.
+Value GenCell(TypeKind type, int shape, int i) {
+  switch (type) {
+    case TypeKind::kInt64: {
+      if (shape == 0) return Value::Int64(1000 + i % 200);  // FOR, width 1
+      if (shape == 1) return Value::Int64(i / 100 - 7);     // RLE
+      const int64_t edge[] = {INT64_MIN, INT64_MAX, 0, -1, 70000};
+      return Value::Int64(edge[i % 5]);  // FOR, width 8
+    }
+    case TypeKind::kDate:
+      if (shape == 0) return Value::FromDate(Date(10000 + i * 100));  // width 2
+      if (shape == 1) return Value::FromDate(Date(-5 + i / 128));     // RLE
+      return Value::FromDate(Date(i % 2 ? INT32_MAX : INT32_MIN));
+    case TypeKind::kDouble: {
+      using lim = std::numeric_limits<double>;
+      const double edge[] = {0.0,   -0.0,     lim::quiet_NaN(),
+                             1e308, -1.0 / 3, lim::infinity()};
+      return Value::Double(shape == 0 ? edge[i % 6] : 0.5 * i);
+    }
+    case TypeKind::kBool:
+      return Value::Bool(shape == 0 ? i % 3 == 0 : true);
+    case TypeKind::kString: {
+      // Sorted neighbours share prefixes, so the dictionary is
+      // prefix-compressed; "" is a valid entry.
+      const char* words[] = {"alpha", "alphabet", "alpine", "", "beta",
+                             "be",    "zeta",     "zetas"};
+      return Value::String(shape == 0 ? words[i % 8]
+                                      : "k" + std::to_string(i % 300));
+    }
+    case TypeKind::kNull:
+      break;
+  }
+  return Value::Null();
+}
+
+TEST(ColumnarBlockCodec, RoundTripsEveryTypeEncodingAndNullPattern) {
+  const TypeKind types[] = {TypeKind::kInt64, TypeKind::kDate,
+                            TypeKind::kDouble, TypeKind::kBool,
+                            TypeKind::kString};
+  std::set<std::pair<TypeKind, BlockEncoding>> seen;
+  for (TypeKind type : types) {
+    for (int shape = 0; shape < 3; ++shape) {
+      for (int rows : {1, 255, 256}) {
+        for (int nulls = 0; nulls < 3; ++nulls) {  // none, mixed, all
+          std::vector<Value> col;
+          for (int i = 0; i < rows; ++i) {
+            const bool null = nulls == 2 || (nulls == 1 && i % 3 == 1);
+            col.push_back(null ? Value::Null() : GenCell(type, shape, i));
+          }
+          ColumnBlockMeta meta;
+          const std::string bytes =
+              EncodeColumnBlock(col, 0, rows, type, false, &meta);
+          seen.insert({type, meta.encoding});
+          // Decode behind an existing cell, as the reader appends block
+          // after block to one column.
+          std::vector<Value> out = {Value::String("before")};
+          const Status st = DecodeColumnBlock(bytes, meta.encoding, type, rows,
+                                              meta.sketch.null_count, &out);
+          ASSERT_TRUE(st.ok()) << st << " type " << TypeKindToString(type)
+                               << " shape " << shape << " rows " << rows
+                               << " nulls " << nulls;
+          ASSERT_EQ(out.size(), col.size() + 1);
+          EXPECT_EQ(out[0].string_value(), "before");
+          for (int i = 0; i < rows; ++i) {
+            ASSERT_TRUE(SameCell(out[i + 1], col[i]))
+                << TypeKindToString(type) << " shape " << shape << " rows "
+                << rows << " nulls " << nulls << " row " << i << ": "
+                << out[i + 1].ToString() << " vs " << col[i].ToString();
+          }
+        }
+      }
+    }
+  }
+  // Every encoding the writer picks showed up; raw-i64 only as an
+  // all-NULL block, which the hand-built case below covers with values.
+  for (auto want : std::vector<std::pair<TypeKind, BlockEncoding>>{
+           {TypeKind::kInt64, BlockEncoding::kForI64},
+           {TypeKind::kInt64, BlockEncoding::kRleI64},
+           {TypeKind::kInt64, BlockEncoding::kRawI64},
+           {TypeKind::kDate, BlockEncoding::kForI64},
+           {TypeKind::kDate, BlockEncoding::kRleI64},
+           {TypeKind::kDouble, BlockEncoding::kRawF64},
+           {TypeKind::kBool, BlockEncoding::kRawBool},
+           {TypeKind::kString, BlockEncoding::kDict}}) {
+    EXPECT_TRUE(seen.count(want)) << TypeKindToString(want.first) << " "
+                                  << BlockEncodingName(want.second);
+  }
+}
+
+/// `v` as `width` little-endian bytes (zero bytes past the eighth).
+std::string LE(uint64_t v, int width) {
+  std::string s;
+  for (int b = 0; b < width; ++b) {
+    s += static_cast<char>(b < 8 ? v >> (8 * b) : 0);
+  }
+  return s;
+}
+
+TEST(ColumnarBlockCodec, RawI64BlocksWithValuesDecode) {
+  // The writer emits raw-i64 only for all-NULL blocks, but the format
+  // allows values; one NULL (bitmap 0b101) sits between them.
+  const std::string bytes =
+      std::string(1, '\x05') + LE(static_cast<uint64_t>(INT64_MIN), 8) +
+      LE(42, 8);
+  std::vector<Value> out;
+  ASSERT_TRUE(DecodeColumnBlock(bytes, BlockEncoding::kRawI64,
+                                TypeKind::kInt64, 3, 1, &out)
+                  .ok());
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out[0].int64_value(), INT64_MIN);
+  EXPECT_TRUE(out[1].is_null());
+  EXPECT_EQ(out[2].int64_value(), 42);
+  out.clear();
+  ASSERT_TRUE(DecodeColumnBlock(LE(19000, 8) + LE(static_cast<uint64_t>(-3), 8),
+                                BlockEncoding::kRawI64, TypeKind::kDate, 2, 0,
+                                &out)
+                  .ok());
+  EXPECT_EQ(out[0].date_value(), Date(19000));
+  EXPECT_EQ(out[1].date_value(), Date(-3));
+}
+
+struct BadBlock {
+  const char* name;
+  TypeKind type;
+  BlockEncoding encoding;
+  int rows;
+  int64_t nulls;
+  std::string bytes;
+  const char* error;  // substring of the expected ParseError
+};
+
+void PrintTo(const BadBlock& b, std::ostream* os) { *os << b.name; }
+
+class ColumnarBadBlock : public ::testing::TestWithParam<BadBlock> {};
+
+TEST_P(ColumnarBadBlock, FailsWithTypedParseError) {
+  const BadBlock& b = GetParam();
+  std::vector<Value> out;
+  const Status st =
+      DecodeColumnBlock(b.bytes, b.encoding, b.type, b.rows, b.nulls, &out);
+  ASSERT_EQ(st.code(), StatusCode::kParseError) << st;
+  EXPECT_NE(st.message().find(b.error), std::string::npos) << st;
+}
+
+using TK = TypeKind;
+using BE = BlockEncoding;
+// A valid 2-entry dictionary ("ab", "ac") up to its index width byte.
+const std::string kDict2 = LE(2, 4) + LE(0, 4) + LE(2, 4) + "ab" + LE(1, 4) +
+                           LE(1, 4) + "c";
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryTypedError, ColumnarBadBlock,
+    ::testing::Values(
+        BadBlock{"negative_rows", TK::kInt64, BE::kRawI64, -1, 0, "",
+                 "row/null"},
+        BadBlock{"nulls_over_rows", TK::kInt64, BE::kRawI64, 2, 3, "",
+                 "row/null"},
+        BadBlock{"negative_nulls", TK::kInt64, BE::kRawI64, 2, -1, "",
+                 "row/null"},
+        BadBlock{"bitmap_truncated", TK::kInt64, BE::kRawI64, 9, 1, "\xff",
+                 "truncated validity bitmap"},
+        BadBlock{"bitmap_count", TK::kInt64, BE::kRawI64, 3, 1,
+                 std::string(1, '\x07') + LE(1, 8) + LE(2, 8),
+                 "validity bitmap mismatch"},
+        BadBlock{"double_as_dict", TK::kDouble, BE::kDict, 1, 0, LE(0, 8),
+                 "encoding/type mismatch"},
+        BadBlock{"bool_as_raw_i64", TK::kBool, BE::kRawI64, 1, 0, "\x01",
+                 "encoding/type mismatch"},
+        BadBlock{"string_as_rle", TK::kString, BE::kRleI64, 1, 0, kDict2,
+                 "encoding/type mismatch"},
+        BadBlock{"int64_as_f64", TK::kInt64, BE::kRawF64, 1, 0, LE(0, 8),
+                 "encoding/type mismatch"},
+        BadBlock{"untyped", TK::kNull, BE::kRawI64, 1, 0, LE(0, 8),
+                 "untyped column"},
+        BadBlock{"no_type", static_cast<TK>(9), BE::kRawI64, 1, 0, LE(0, 8),
+                 "untyped column"},
+        BadBlock{"double_short", TK::kDouble, BE::kRawF64, 2, 0, LE(0, 8),
+                 "truncated payload"},
+        BadBlock{"double_trailing", TK::kDouble, BE::kRawF64, 1, 0,
+                 LE(0, 8) + "x", "trailing bytes"},
+        BadBlock{"bool_length", TK::kBool, BE::kRawBool, 2, 0, "\x01",
+                 "length mismatch"},
+        BadBlock{"bool_value", TK::kBool, BE::kRawBool, 2, 0, "\x01\x02",
+                 "bad bool"},
+        BadBlock{"raw_short", TK::kInt64, BE::kRawI64, 2, 0, LE(0, 8),
+                 "truncated payload"},
+        BadBlock{"raw_trailing", TK::kInt64, BE::kRawI64, 1, 0, LE(0, 9),
+                 "length mismatch"},
+        BadBlock{"for_no_base", TK::kInt64, BE::kForI64, 1, 0, LE(0, 7),
+                 "truncated payload"},
+        BadBlock{"for_no_width", TK::kInt64, BE::kForI64, 1, 0, LE(0, 8),
+                 "truncated payload"},
+        BadBlock{"for_width_3", TK::kInt64, BE::kForI64, 1, 0,
+                 LE(0, 8) + LE(3, 1) + LE(0, 3), "bad FOR width"},
+        BadBlock{"for_width_16", TK::kInt64, BE::kForI64, 1, 0,
+                 LE(0, 8) + LE(16, 1), "bad FOR width"},
+        BadBlock{"for_short", TK::kInt64, BE::kForI64, 3, 0,
+                 LE(0, 8) + LE(2, 1) + LE(0, 4), "truncated payload"},
+        BadBlock{"for_trailing", TK::kInt64, BE::kForI64, 1, 0,
+                 LE(0, 8) + LE(0, 1) + "x", "length mismatch"},
+        BadBlock{"rle_no_count", TK::kInt64, BE::kRleI64, 1, 0, LE(1, 3),
+                 "truncated payload"},
+        BadBlock{"rle_run_short", TK::kInt64, BE::kRleI64, 1, 0,
+                 LE(1, 4) + LE(5, 8) + LE(1, 3), "truncated payload"},
+        BadBlock{"rle_empty_run", TK::kInt64, BE::kRleI64, 1, 0,
+                 LE(1, 4) + LE(5, 8) + LE(0, 4), "bad RLE run"},
+        BadBlock{"rle_overlong_run", TK::kInt64, BE::kRleI64, 2, 0,
+                 LE(1, 4) + LE(5, 8) + LE(3, 4), "bad RLE run"},
+        BadBlock{"rle_too_few_rows", TK::kInt64, BE::kRleI64, 2, 0,
+                 LE(1, 4) + LE(5, 8) + LE(1, 4), "length mismatch"},
+        BadBlock{"rle_trailing", TK::kInt64, BE::kRleI64, 1, 0,
+                 LE(1, 4) + LE(5, 8) + LE(1, 4) + "x", "length mismatch"},
+        BadBlock{"int64_as_dict", TK::kInt64, BE::kDict, 1, 0,
+                 kDict2 + LE(1, 1) + LE(0, 1),
+                 "encoding/type mismatch"},
+        BadBlock{"date_above_int32", TK::kDate, BE::kRawI64, 1, 0,
+                 LE(uint64_t{1} << 31, 8), "date out of range"},
+        BadBlock{"date_below_int32", TK::kDate, BE::kForI64, 1, 0,
+                 LE(static_cast<uint64_t>(int64_t{INT32_MIN} - 1), 8) +
+                     LE(0, 1),
+                 "date out of range"},
+        BadBlock{"date_rle_range", TK::kDate, BE::kRleI64, 1, 0,
+                 LE(1, 4) + LE(uint64_t{1} << 40, 8) + LE(1, 4),
+                 "date out of range"},
+        BadBlock{"dict_no_size", TK::kString, BE::kDict, 1, 0, LE(1, 3),
+                 "truncated payload"},
+        BadBlock{"dict_too_large", TK::kString, BE::kDict, 1, 0, LE(1000, 4),
+                 "dictionary too large"},
+        BadBlock{"dict_entry_short", TK::kString, BE::kDict, 1, 0,
+                 LE(1, 4) + LE(0, 4) + LE(1, 2), "truncated payload"},
+        BadBlock{"dict_first_prefix", TK::kString, BE::kDict, 1, 0,
+                 LE(1, 4) + LE(1, 4) + LE(0, 4) + LE(0, 1) + LE(0, 1),
+                 "bad dictionary prefix"},
+        BadBlock{"dict_long_prefix", TK::kString, BE::kDict, 1, 0,
+                 LE(2, 4) + LE(0, 4) + LE(1, 4) + "a" + LE(2, 4) + LE(0, 4),
+                 "bad dictionary prefix"},
+        BadBlock{"dict_tail_short", TK::kString, BE::kDict, 1, 0,
+                 LE(1, 4) + LE(0, 4) + LE(5, 4) + "ab", "truncated payload"},
+        BadBlock{"dict_no_width", TK::kString, BE::kDict, 1, 0, kDict2,
+                 "truncated payload"},
+        BadBlock{"dict_width_3", TK::kString, BE::kDict, 1, 0,
+                 kDict2 + LE(3, 1) + LE(0, 3), "bad dictionary index width"},
+        BadBlock{"dict_indexes_short", TK::kString, BE::kDict, 2, 0,
+                 kDict2 + LE(2, 1) + LE(0, 2), "truncated payload"},
+        BadBlock{"dict_trailing", TK::kString, BE::kDict, 1, 0,
+                 kDict2 + LE(1, 1) + LE(1, 1) + "x", "trailing bytes"},
+        BadBlock{"dict_index_range", TK::kString, BE::kDict, 2, 0,
+                 kDict2 + LE(1, 1) + LE(1, 1) + LE(2, 1),
+                 "dictionary index range"}));
+
+TEST(ColumnarBlockCodec, HandBuiltDictionaryDecodes) {
+  // The valid prefix of the malformed cases above, so their failures
+  // come from the byte each one breaks.
+  std::vector<Value> out;
+  ASSERT_TRUE(DecodeColumnBlock(kDict2 + LE(1, 1) + LE(1, 1) + LE(0, 1),
+                                BlockEncoding::kDict, TypeKind::kString, 2, 0,
+                                &out)
+                  .ok());
+  // Index width 4 (the writer needs > 65535 entries for it).
+  ASSERT_TRUE(DecodeColumnBlock(kDict2 + LE(4, 1) + LE(0, 4),
+                                BlockEncoding::kDict, TypeKind::kString, 1, 0,
+                                &out)
+                  .ok());
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out[0].string_value(), "ac");
+  EXPECT_EQ(out[1].string_value(), "ab");
+  EXPECT_EQ(out[2].string_value(), "ab");
+}
+
+// ---------------------------------------------------------------------------
+// Multi-block range reads: one read per column per range, each block
+// checked on its slice.
+// ---------------------------------------------------------------------------
+
+/// 5 unclustered blocks (4 x 256 + 100 rows) over every column type,
+/// with NULLs in the nullable columns.
+Table FiveBlockTable() {
+  Table t(QuoteSchema());
+  const char* names[] = {"IBM", "INTC", "IBMX"};
+  for (int i = 0; i < 4 * 256 + 100; ++i) {
+    SQLTS_CHECK_OK(t.AppendRow(
+        {Value::String(names[i % 3]), Value::FromDate(Date(10000 + i)),
+         i % 7 == 3 ? Value::Null() : Value::Double(50 + i * 0.25),
+         i % 11 == 5 ? Value::Null() : Value::Int64(i / 40)}));
+  }
+  return t;
+}
+
+/// Rebuilds a container from a data region and a footer, with a fresh
+/// header (footer offset, size and checksum).
+std::string BuildContainer(const std::string& data,
+                           const ColumnarFooter& footer) {
+  const std::string f = EncodeFooter(footer);
+  return std::string(kColumnarMagic) + LE(kColumnarVersion, 4) +
+         LE(kColumnarHeaderSize + data.size(), 8) + LE(f.size(), 8) +
+         LE(Fnv1a64(f), 8) + data + f;
+}
+
+/// Appends the rows of `part` to `all`.
+void AppendTable(const Table& part, Table* all) {
+  for (int64_t r = 0; r < part.num_rows(); ++r) {
+    SQLTS_CHECK_OK(all->AppendRow(part.GetRow(r)));
+  }
+}
+
+TEST(ColumnarRangeRead, RangeEqualsConcatenatedSingleBlocks) {
+  const Table source = FiveBlockTable();
+  std::string bytes = ColumnarWriter::WriteBytes(source).value();
+  const std::string path = ::testing::TempDir() + "/sqlts_range_read.sqlc";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  std::vector<std::unique_ptr<ColumnarReader>> readers;
+  readers.push_back(ColumnarReader::OpenBytes(bytes).value());
+  readers.push_back(ColumnarReader::Open(path).value());
+  for (auto& reader : readers) {
+    ASSERT_EQ(reader->footer().blocks.size(), 5u);
+    for (int b = 0; b + 3 <= 5; ++b) {
+      auto range = reader->ReadBlockRange(b, 3);
+      ASSERT_TRUE(range.ok()) << range.status();
+      Table singles(QuoteSchema());
+      for (int k = b; k < b + 3; ++k) {
+        AppendTable(reader->ReadBlockRange(k, 1).value(), &singles);
+      }
+      ExpectTablesEqual(*range, singles);
+    }
+    auto empty = reader->ReadBlockRange(5, 0);
+    ASSERT_TRUE(empty.ok()) << empty.status();
+    EXPECT_EQ(empty->num_rows(), 0);
+    EXPECT_EQ(reader->ReadBlockRange(4, 2).status().code(),
+              StatusCode::kInvalidArgument);
+    auto all = reader->ReadTable();
+    ASSERT_TRUE(all.ok()) << all.status();
+    ExpectTablesEqual(source, *all);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ColumnarRangeRead, MiddleBlockFlipFailsOnlyRangesThatCoverIt) {
+  std::string bytes = ColumnarWriter::WriteBytes(FiveBlockTable()).value();
+  const ColumnarFooter footer =
+      ColumnarReader::OpenBytes(bytes).value()->footer();
+  // Damage block 2 of the date column (column 1): inside range [1, 4).
+  const ColumnBlockMeta& target = footer.columns[1][2];
+  bytes[target.offset + target.size / 2] ^= 0x10;
+
+  auto reader = ColumnarReader::OpenBytes(bytes).value();
+  auto damaged = reader->ReadBlockRange(1, 3);
+  ASSERT_FALSE(damaged.ok());
+  EXPECT_EQ(damaged.status().code(), StatusCode::kParseError)
+      << damaged.status();
+  // Counted: the range's blocks of column 0, then block 1 of column 1 —
+  // every block verified before the damaged one, and nothing after it.
+  int64_t verified = footer.columns[1][1].size;
+  for (int b = 1; b < 4; ++b) verified += footer.columns[0][b].size;
+  EXPECT_EQ(reader->bytes_read(), verified);
+
+  int64_t before = reader->bytes_read();
+  for (auto [first, n] : {std::pair{0, 2}, std::pair{3, 2}}) {
+    auto intact = reader->ReadBlockRange(first, n);
+    ASSERT_TRUE(intact.ok()) << intact.status();
+    int64_t sizes = 0;
+    for (const auto& column : footer.columns) {
+      for (int b = first; b < first + n; ++b) sizes += column[b].size;
+    }
+    EXPECT_EQ(reader->bytes_read() - before, sizes);
+    before = reader->bytes_read();
+  }
+}
+
+TEST(ColumnarRangeRead, OpenRefusesColumnBlocksNotBackToBack) {
+  const std::string bytes =
+      ColumnarWriter::WriteBytes(FiveBlockTable()).value();
+  const ColumnarFooter footer =
+      ColumnarReader::OpenBytes(bytes).value()->footer();
+  const uint64_t footer_offset = footer.columns.back().back().offset +
+                                 footer.columns.back().back().size;
+  const std::string data =
+      bytes.substr(kColumnarHeaderSize, footer_offset - kColumnarHeaderSize);
+  ASSERT_EQ(BuildContainer(data, footer), bytes);  // the helper is exact
+
+  // One padding byte at data offset `at`; every later block moves by one,
+  // so each block still matches its checksum.
+  auto padded = [&](uint64_t at) {
+    ColumnarFooter f = footer;
+    for (auto& column : f.columns) {
+      for (ColumnBlockMeta& m : column) {
+        if (m.offset >= kColumnarHeaderSize + at) ++m.offset;
+      }
+    }
+    return BuildContainer(data.substr(0, at) + "#" + data.substr(at), f);
+  };
+  // Between two columns: still back to back within each column.
+  const uint64_t column_gap = footer.columns[1][0].offset - kColumnarHeaderSize;
+  auto ok = ColumnarReader::OpenBytes(padded(column_gap));
+  ASSERT_TRUE(ok.ok()) << ok.status();
+  ExpectTablesEqual(FiveBlockTable(), (*ok)->ReadTable().value());
+  // Between blocks 1 and 2 of column 1: a gap.
+  const uint64_t block_gap = footer.columns[1][2].offset - kColumnarHeaderSize;
+  auto gap = ColumnarReader::OpenBytes(padded(block_gap));
+  ASSERT_FALSE(gap.ok());
+  EXPECT_EQ(gap.status().code(), StatusCode::kParseError) << gap.status();
+
+  // Column 0's blocks 0 and 1 swapped: contiguous, but out of block order.
+  ColumnarFooter swapped = footer;
+  ColumnBlockMeta& b0 = swapped.columns[0][0];
+  ColumnBlockMeta& b1 = swapped.columns[0][1];
+  std::string moved = data.substr(b1.offset - kColumnarHeaderSize, b1.size) +
+                      data.substr(0, b0.size) + data.substr(b0.size + b1.size);
+  b1.offset = kColumnarHeaderSize;
+  b0.offset = kColumnarHeaderSize + b1.size;
+  auto out_of_order = ColumnarReader::OpenBytes(BuildContainer(moved, swapped));
+  ASSERT_FALSE(out_of_order.ok());
+  EXPECT_EQ(out_of_order.status().code(), StatusCode::kParseError)
+      << out_of_order.status();
 }
 
 }  // namespace

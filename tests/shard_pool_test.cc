@@ -62,7 +62,12 @@ TEST(ShardPool, ShardForIsStableAndInRange) {
 }
 
 TEST(ShardPool, EncodeClusterKeyIsInjective) {
-  auto key = [](const Row& row) { return EncodeClusterKey(row, {0, 1}); };
+  Schema schema;
+  SQLTS_CHECK_OK(schema.AddColumn("a", TypeKind::kString));
+  SQLTS_CHECK_OK(schema.AddColumn("b", TypeKind::kString));
+  auto key = [&](const Row& row) {
+    return EncodeClusterKey(schema, row, {0, 1});
+  };
   // Parts that concatenate equal must encode differently.
   Row a = {Value::String("ab"), Value::String("c")};
   Row b = {Value::String("a"), Value::String("bc")};

@@ -2,6 +2,7 @@
 // projection at match time, cluster filters, order enforcement, and
 // agreement with the batch executor.
 
+#include <limits>
 #include <random>
 
 #include <gtest/gtest.h>
@@ -178,6 +179,67 @@ TEST(StreamExecutor, NullSequenceKeysFirstAgreeWithBatch) {
   }
   EXPECT_EQ(streamed, batched);
   EXPECT_EQ(streamed, (std::vector<std::string>{"9|7", "8|3"}));
+}
+
+/// Pushes `rows` through the streaming executor and runs the same table
+/// in batch; both must report the same output rows and clusters.
+void ExpectDoubleKeyRoutingMatchesBatch(const std::vector<Row>& rows,
+                                        int want_matches, int want_clusters) {
+  Schema s;
+  ASSERT_TRUE(s.AddColumn("k", TypeKind::kDouble).ok());
+  ASSERT_TRUE(s.AddColumn("seq", TypeKind::kInt64).ok());
+  ASSERT_TRUE(s.AddColumn("price", TypeKind::kDouble).ok());
+  const std::string query =
+      "SELECT X.price, Y.price FROM t CLUSTER BY k SEQUENCE BY seq "
+      "AS (X, Y) WHERE Y.price < X.price";
+  Table table(s);
+  for (const Row& r : rows) ASSERT_TRUE(table.AppendRow(r).ok());
+  auto batch = QueryExecutor::Execute(table, query);
+  ASSERT_TRUE(batch.ok()) << batch.status();
+  std::vector<std::string> batched;
+  for (int64_t r = 0; r < batch->output.num_rows(); ++r) {
+    batched.push_back(batch->output.at(r, 0).ToString() + "|" +
+                      batch->output.at(r, 1).ToString());
+  }
+  std::vector<std::string> streamed;
+  auto exec = StreamingQueryExecutor::Create(query, s, [&](const Row& r) {
+    streamed.push_back(r[0].ToString() + "|" + r[1].ToString());
+  });
+  ASSERT_TRUE(exec.ok()) << exec.status();
+  for (const Row& r : rows) ASSERT_TRUE((*exec)->Push(r).ok());
+  ASSERT_TRUE((*exec)->Finish().ok());
+  EXPECT_EQ(batch->num_clusters, want_clusters);
+  EXPECT_EQ(static_cast<int>(batched.size()), want_matches);
+  EXPECT_EQ((*exec)->num_clusters(), batch->num_clusters);
+  EXPECT_EQ(streamed, batched);
+}
+
+TEST(StreamExecutor, DoubleClusterKeysRouteByExactValue) {
+  // 1.0000001 and 1.0000002 are two keys; a 6-digit rendering of the
+  // route key would merge them and report `10 | 5`.
+  ExpectDoubleKeyRoutingMatchesBatch(
+      {{Value::Double(1.0000001), Value::Int64(1), Value::Double(10)},
+       {Value::Double(1.0000002), Value::Int64(2), Value::Double(5)}},
+      /*want_matches=*/0, /*want_clusters=*/2);
+}
+
+TEST(StreamExecutor, DoubleClusterKeysRouteLikeBatchEquality) {
+  // -0.0 and 0.0 are one key, as are two NaNs ...
+  ExpectDoubleKeyRoutingMatchesBatch(
+      {{Value::Double(-0.0), Value::Int64(1), Value::Double(10)},
+       {Value::Double(0.0), Value::Int64(2), Value::Double(5)}},
+      /*want_matches=*/1, /*want_clusters=*/1);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  ExpectDoubleKeyRoutingMatchesBatch(
+      {{Value::Double(nan), Value::Int64(1), Value::Double(10)},
+       {Value::Double(-nan), Value::Int64(2), Value::Double(5)}},
+      /*want_matches=*/1, /*want_clusters=*/1);
+  // ... and an int64 cell of the double column is the double it stores.
+  ExpectDoubleKeyRoutingMatchesBatch(
+      {{Value::Int64(3), Value::Int64(1), Value::Double(10)},
+       {Value::Double(3.0), Value::Int64(2), Value::Double(5)},
+       {Value::Int64(4), Value::Int64(3), Value::Double(1)}},
+      /*want_matches=*/1, /*want_clusters=*/2);
 }
 
 TEST(StreamExecutor, AdversarialClusterKeysStayDistinct) {
