@@ -29,6 +29,9 @@ namespace sqlts {
 /// `base + pos` in streaming, where the working view may have evicted a
 /// prefix.  Caches must key on `abs_pos`: it names the tuple
 /// consistently across queries whose buffers are in different states.
+/// Both implementations (VectorizedPlanEval's evaluator, and
+/// MultiQueryEvaluator over a SharedClusterCache) keep kernel verdicts
+/// in one VerdictStore (engine/verdict_store.h) keyed by `abs_pos`.
 class ElementEvaluator {
  public:
   virtual ~ElementEvaluator() = default;

@@ -1,12 +1,11 @@
 #include "engine/vectorized_eval.h"
 
-#include <algorithm>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "common/logging.h"
+#include "engine/verdict_store.h"
 #include "expr/eval.h"
 
 namespace sqlts {
@@ -19,7 +18,7 @@ std::unique_ptr<VectorizedPlanEval> VectorizedPlanEval::Create(
   out->elements_.resize(plan.predicates.size());
   // Dedup by rendered form: identical conjuncts (common across the
   // elements of one pattern, e.g. symmetric halves of a double bottom)
-  // share one kernel and one per-cluster verdict cache.
+  // share one kernel and one verdict-store slot.
   std::map<std::string, std::pair<const PredicateKernel*, int>> dedup;
   bool any = false;
   for (size_t j = 1; j < plan.predicates.size(); ++j) {
@@ -38,7 +37,7 @@ std::unique_ptr<VectorizedPlanEval> VectorizedPlanEval::Create(
         auto kernel = PredicateKernel::Compile(c, schema);
         if (kernel != nullptr) {
           entry.kernel = kernel.get();
-          entry.cache_slot = out->num_slots_++;
+          entry.cache_slot = static_cast<int>(out->kernels_.size());
           out->kernels_.push_back(std::move(kernel));
         }
         dedup.emplace(std::move(key),
@@ -52,23 +51,32 @@ std::unique_ptr<VectorizedPlanEval> VectorizedPlanEval::Create(
   return out;
 }
 
-/// Per-matcher evaluator: block-cached kernel verdicts plus the
-/// interpreter for everything else.  Single-threaded by contract.
-/// Defined at namespace scope (not anonymous) so the header's friend
-/// declaration names this exact class.
+/// Per-matcher evaluator: kernel verdicts from the matcher's own
+/// VerdictStore, the interpreter for everything else.  Single-threaded
+/// by contract.  Defined at namespace scope (not anonymous) so the
+/// header's friend declaration names this exact class.
 class VectorizedElementEvaluator final : public ElementEvaluator {
  public:
+  // Rings hold up to 2^16 positions, the multi-query batch cap.
   explicit VectorizedElementEvaluator(const VectorizedPlanEval* plan)
-      : plan_(plan), slots_(plan->num_slots_) {}
+      : plan_(plan), store_(int64_t{1} << 16) {}
 
   bool Test(int j, const SequenceView& seq, int64_t pos,
             const std::vector<GroupSpan>& spans, int64_t abs_pos) override {
     const auto& conjuncts = plan_->elements_[j];
     SQLTS_CHECK(!conjuncts.empty()) << "Test on TRUE element " << j;
+    const int lane = static_cast<int>(abs_pos % kKernelBlock);
     for (const auto& c : conjuncts) {
       bool sat;
       if (c.kernel != nullptr) {
-        sat = TestKernel(c, seq, pos, abs_pos);
+        // The view's base (abs_pos - pos) is the lowest position this
+        // matcher can still test.
+        VerdictStore::Block& b =
+            store_.At(c.cache_slot, abs_pos, abs_pos - pos);
+        if (!b.Known(lane)) {
+          store_.Fill(&b, *c.kernel, seq, pos, abs_pos, nullptr);
+        }
+        sat = b.True(lane);
       } else {
         EvalContext ctx;
         ctx.seq = &seq;
@@ -82,62 +90,8 @@ class VectorizedElementEvaluator final : public ElementEvaluator {
   }
 
  private:
-  struct CachedBlock {
-    int valid = 0;  // lanes [0, valid) are filled and final
-    BlockVerdict v;
-  };
-  struct SlotCache {
-    std::unordered_map<int64_t, CachedBlock> blocks;
-  };
-
-  bool TestKernel(const VectorizedPlanEval::Conjunct& c,
-                  const SequenceView& seq, int64_t pos, int64_t abs_pos) {
-    const int64_t base = abs_pos - pos;  // 0 in batch execution
-    const int64_t block = abs_pos / kKernelBlock;
-    const int lane = static_cast<int>(abs_pos % kKernelBlock);
-    SlotCache& cache = slots_[c.cache_slot];
-    CachedBlock& cb = cache.blocks[block];
-    if (lane >= cb.valid) {
-      // Fill up to the last lane whose position has arrived.  In batch
-      // the view is complete, so every computed verdict is final; in
-      // streaming the plan has no lookahead (max_offset <= 0), so a
-      // lane is final as soon as its own tuple is buffered.
-      const int64_t abs0 = block * kKernelBlock;
-      const int64_t limit = base + seq.size() - abs0;
-      const int lane_end =
-          static_cast<int>(std::min<int64_t>(kKernelBlock, limit));
-      SQLTS_CHECK(lane < lane_end) << "test beyond buffered data";
-      BlockVerdict fresh;
-      c.kernel->EvalBlock(seq, abs0 - base, cb.valid, lane_end, &scratch_,
-                          &fresh);
-      for (int w = 0; w < kKernelWords; ++w) {
-        cb.v.true_bits[w] |= fresh.true_bits[w];
-        cb.v.null_bits[w] |= fresh.null_bits[w];
-      }
-      cb.valid = lane_end;
-      MaybePrune(&cache, base);
-    }
-    return cb.v.True(lane);
-  }
-
-  /// Blocks wholly below the working view's base can never be queried
-  /// again (tests happen at buffered positions: abs_pos >= base, and
-  /// base is nondecreasing) — drop them so long streams stay bounded.
-  void MaybePrune(SlotCache* cache, int64_t base) {
-    if (cache->blocks.size() < 64) return;
-    const int64_t min_block = base / kKernelBlock;
-    for (auto it = cache->blocks.begin(); it != cache->blocks.end();) {
-      if (it->first < min_block) {
-        it = cache->blocks.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-
   const VectorizedPlanEval* plan_;
-  std::vector<SlotCache> slots_;
-  KernelScratch scratch_;
+  VerdictStore store_;
 };
 
 std::unique_ptr<ElementEvaluator> VectorizedPlanEval::MakeEvaluator() const {

@@ -31,22 +31,15 @@ namespace sqlts {
 ///  - Non-vectorizable conjuncts (anchored references, strings, ...)
 ///    are interpreted per test, exactly as before.
 ///
-/// Streaming safety: verdicts are cached per absolute position while
-/// the working view grows and evicts.  A block's lanes are filled
-/// incrementally, never beyond the tuples that have arrived; streaming
-/// plans reject lookahead (offsets <= 0), so a filled lane's verdict
-/// is final the moment every referenced cell exists.  The eviction
-/// invariant base <= start + min_offset guarantees any lane whose
-/// computation could have seen an evicted cell is never queried again
-/// (see the matcher's invariants in engine/stream.cc), so cached
-/// verdicts always equal what the interpreter would answer at query
-/// time.
+/// Verdicts live in a per-evaluator VerdictStore (engine/verdict_store.h)
+/// keyed by absolute position; its fill rule is what makes them final
+/// in streaming as well as in batch (docs/VECTORIZED.md §3).
 class VectorizedPlanEval {
  public:
   /// Compiles kernels for `plan` over `schema`.  Returns nullptr when
   /// no element has a vectorizable conjunct (callers then skip the
   /// tier entirely).  Identical conjuncts (within and across elements)
-  /// share one kernel and one verdict cache.
+  /// share one kernel and one verdict-store slot.
   static std::unique_ptr<VectorizedPlanEval> Create(const PatternPlan& plan,
                                                     const Schema& schema);
 
@@ -56,23 +49,19 @@ class VectorizedPlanEval {
   /// object is immutable and safe to call from concurrent shards.
   std::unique_ptr<ElementEvaluator> MakeEvaluator() const;
 
-  /// Number of distinct compiled kernels (diagnostics / tests).
-  int num_kernels() const { return static_cast<int>(kernels_.size()); }
-
  private:
   friend class VectorizedElementEvaluator;
 
   struct Conjunct {
     ExprPtr expr;                            // interpreter form
     const PredicateKernel* kernel = nullptr; // null => interpret per test
-    int cache_slot = -1;                     // kernel conjuncts only
+    int cache_slot = -1;                     // VerdictStore slot
   };
 
   VectorizedPlanEval() = default;
 
   std::vector<std::vector<Conjunct>> elements_;  // 1-based, like the plan
-  std::vector<std::unique_ptr<PredicateKernel>> kernels_;
-  int num_slots_ = 0;
+  std::vector<std::unique_ptr<PredicateKernel>> kernels_;  // [cache_slot]
 };
 
 }  // namespace sqlts

@@ -39,7 +39,6 @@ struct RunCtx {
   int lane0, lane1;  // active lanes [lane0, lane1)
   int w0, w1;        // words overlapping the active lanes
   LaneBuf* bufs;
-  uint64_t escape[kKernelWords];  // lanes deferred to the interpreter
 };
 
 inline void SetBit(uint64_t* words, int l) {
@@ -84,7 +83,21 @@ inline double LaneF64(const LaneBuf& b, VType t, int l) {
   return t == VType::kF64 ? b.f64[l] : static_cast<double>(b.i64[l]);
 }
 
-enum class CellSt : uint8_t { kOk, kNull, kEscape };
+/// Lane type of a column of `kind`; kNull when kernels cannot read it.
+VType LaneType(TypeKind kind) {
+  switch (kind) {
+    case TypeKind::kInt64:
+      return VType::kI64;
+    case TypeKind::kDouble:
+      return VType::kF64;
+    case TypeKind::kDate:
+      return VType::kDate;
+    case TypeKind::kBool:
+      return VType::kBool;
+    default:
+      return VType::kNull;
+  }
+}
 
 /// Hoisted raw access to one column of the view's table: the pointer
 /// chases and bounds checks behind SequenceView::at cost more than the
@@ -92,53 +105,55 @@ enum class CellSt : uint8_t { kOk, kNull, kEscape };
 /// once per block and lanes pay one range check + two loads.
 ///
 /// Load semantics match the interpreter exactly: out-of-range
-/// positions are NULL (navigation off the sequence), NULL cells are
-/// NULL, and a cell whose runtime kind does not match the declared
-/// column type (Table enforces this, so only a hypothetical future
-/// ingest path could produce one) escapes the lane to the interpreter
-/// rather than guessing.
+/// positions are NULL (navigation off the sequence) and NULL cells are
+/// NULL.  Table stores every non-NULL cell with its column's kind
+/// (int64 cells of a double column as doubles), so a cell that is not
+/// of the lane type is NULL.
 struct ColCursor {
   const Value* data;
   const int64_t* rows;
   int64_t n;
 
-  ColCursor(const SequenceView& seq, int col)
+  ColCursor(const SequenceView& seq, int col, VType t)
       : data(seq.table().column_data(col).data()),
         rows(seq.row_data()),
-        n(seq.size()) {}
+        n(seq.size()) {
+    SQLTS_DCHECK(LaneType(seq.table().schema().column(col).type) == t)
+        << "column " << col << " is not of the kernel's lane type";
+  }
 
-  CellSt Load(int64_t p, VType t, int64_t* i64v, double* f64v) const {
-    if (p < 0 || p >= n) return CellSt::kNull;
+  /// Reads the cell at view position `p`; false when it is NULL.
+  bool Load(int64_t p, VType t, int64_t* i64v, double* f64v) const {
+    if (p < 0 || p >= n) return false;
     const Value& v = data[rows[p]];
     switch (t) {
       case VType::kI64:
         if (const int64_t* x = v.int64_if()) {
           *i64v = *x;
-          return CellSt::kOk;
+          return true;
         }
-        break;
+        return false;
       case VType::kF64:
         if (const double* x = v.double_if()) {
           *f64v = *x;
-          return CellSt::kOk;
+          return true;
         }
-        break;
+        return false;
       case VType::kDate:
         if (const Date* x = v.date_if()) {
           *i64v = x->days_since_epoch();
-          return CellSt::kOk;
+          return true;
         }
-        break;
+        return false;
       case VType::kBool:
         if (const bool* x = v.bool_if()) {
           *i64v = *x ? 1 : 0;
-          return CellSt::kOk;
+          return true;
         }
-        break;
+        return false;
       default:
-        return CellSt::kEscape;
+        return false;
     }
-    return v.holds_null() ? CellSt::kNull : CellSt::kEscape;
   }
 };
 
@@ -237,22 +252,18 @@ struct LoadNode : Node {
     LaneBuf& o = ctx->bufs[out];
     ZeroRange(o.null_bits, *ctx);
     if (type == VType::kBool) ZeroRange(o.true_bits, *ctx);
-    const ColCursor cur(*ctx->seq, col);
+    const ColCursor cur(*ctx->seq, col, type);
     for (int l = ctx->lane0; l < ctx->lane1; ++l) {
-      int64_t iv;
-      double fv;
-      CellSt st = cur.Load(ctx->pos0 + l + off, type, &iv, &fv);
-      if (st == CellSt::kOk) {
-        if (type == VType::kF64) {
-          o.f64[l] = fv;
-        } else if (type == VType::kBool) {
-          if (iv != 0) SetBit(o.true_bits, l);
-        } else {
-          o.i64[l] = iv;
-        }
-      } else {
+      int64_t iv = 0;
+      double fv = 0;
+      if (!cur.Load(ctx->pos0 + l + off, type, &iv, &fv)) {
         SetBit(o.null_bits, l);
-        if (st == CellSt::kEscape) SetBit(ctx->escape, l);
+      } else if (type == VType::kF64) {
+        o.f64[l] = fv;
+      } else if (type == VType::kBool) {
+        if (iv != 0) SetBit(o.true_bits, l);
+      } else {
+        o.i64[l] = iv;
       }
     }
   }
@@ -542,7 +553,7 @@ struct ColCmpLitNode : Node {
     LaneBuf& o = ctx->bufs[out];
     ZeroRange(o.null_bits, *ctx);
     ZeroRange(o.true_bits, *ctx);
-    const ColCursor cur(*ctx->seq, col);
+    const ColCursor cur(*ctx->seq, col, ct);
     const bool lit_f64 = lit.kind() == TypeKind::kDouble;
     const double lf = lit_f64 ? lit.double_value() : 0;
     const int64_t li = lit.kind() == TypeKind::kInt64 ? lit.int64_value()
@@ -552,12 +563,10 @@ struct ColCmpLitNode : Node {
                            ? (lit.bool_value() ? 1 : 0)
                            : 0;
     for (int l = ctx->lane0; l < ctx->lane1; ++l) {
-      int64_t iv;
-      double fv;
-      CellSt st = cur.Load(ctx->pos0 + l + off, ct, &iv, &fv);
-      if (st != CellSt::kOk) {
+      int64_t iv = 0;
+      double fv = 0;
+      if (!cur.Load(ctx->pos0 + l + off, ct, &iv, &fv)) {
         SetBit(o.null_bits, l);
-        if (st == CellSt::kEscape) SetBit(ctx->escape, l);
         continue;
       }
       int c;
@@ -591,18 +600,14 @@ struct ColCmpColNode : Node {
     LaneBuf& o = ctx->bufs[out];
     ZeroRange(o.null_bits, *ctx);
     ZeroRange(o.true_bits, *ctx);
-    const ColCursor cura(*ctx->seq, cola);
-    const ColCursor curb(*ctx->seq, colb);
+    const ColCursor cura(*ctx->seq, cola, ta);
+    const ColCursor curb(*ctx->seq, colb, tb);
     for (int l = ctx->lane0; l < ctx->lane1; ++l) {
-      int64_t ia, ib;
-      double fa, fb;
-      CellSt sa = cura.Load(ctx->pos0 + l + offa, ta, &ia, &fa);
-      CellSt sb = curb.Load(ctx->pos0 + l + offb, tb, &ib, &fb);
-      if (sa != CellSt::kOk || sb != CellSt::kOk) {
+      int64_t ia = 0, ib = 0;
+      double fa = 0, fb = 0;
+      if (!cura.Load(ctx->pos0 + l + offa, ta, &ia, &fa) ||
+          !curb.Load(ctx->pos0 + l + offb, tb, &ib, &fb)) {
         SetBit(o.null_bits, l);
-        if (sa == CellSt::kEscape || sb == CellSt::kEscape) {
-          SetBit(ctx->escape, l);
-        }
         continue;
       }
       int c;
@@ -648,8 +653,8 @@ struct ColCmpScaledColNode : Node {
     LaneBuf& o = ctx->bufs[out];
     ZeroRange(o.null_bits, *ctx);
     ZeroRange(o.true_bits, *ctx);
-    const ColCursor cura(*ctx->seq, cola);
-    const ColCursor curb(*ctx->seq, colb);
+    const ColCursor cura(*ctx->seq, cola, ta);
+    const ColCursor curb(*ctx->seq, colb, tb);
     const bool int_mul =
         lit.kind() == TypeKind::kInt64 && tb == VType::kI64;
     const double lf = lit.kind() == TypeKind::kDouble
@@ -657,15 +662,11 @@ struct ColCmpScaledColNode : Node {
                           : static_cast<double>(lit.int64_value());
     const int64_t li = lit.kind() == TypeKind::kInt64 ? lit.int64_value() : 0;
     for (int l = ctx->lane0; l < ctx->lane1; ++l) {
-      int64_t ia, ib;
-      double fa, fb;
-      CellSt sa = cura.Load(ctx->pos0 + l + offa, ta, &ia, &fa);
-      CellSt sb = curb.Load(ctx->pos0 + l + offb, tb, &ib, &fb);
-      if (sa != CellSt::kOk || sb != CellSt::kOk) {
+      int64_t ia = 0, ib = 0;
+      double fa = 0, fb = 0;
+      if (!cura.Load(ctx->pos0 + l + offa, ta, &ia, &fa) ||
+          !curb.Load(ctx->pos0 + l + offb, tb, &ib, &fb)) {
         SetBit(o.null_bits, l);
-        if (sa == CellSt::kEscape || sb == CellSt::kEscape) {
-          SetBit(ctx->escape, l);
-        }
         continue;
       }
       int c;
@@ -710,8 +711,6 @@ struct KernelBuilder {
   const Schema* schema;
   std::vector<std::unique_ptr<Node>> nodes;
   std::map<std::pair<int, int>, int> load_memo;  // (col, offset) -> node
-  int min_off = 0;
-  int max_off = 0;
 
   int Add(std::unique_ptr<Node> n) {
     n->out = static_cast<int>(nodes.size());
@@ -731,37 +730,17 @@ struct KernelBuilder {
   /// on failure (unresolved/anchored refs, string columns).
   bool ColumnInfo(const ColumnRef& r, int* col, int* off, VType* t) const {
     if (!r.relative || r.column_index < 0) return false;
-    switch (schema->column(r.column_index).type) {
-      case TypeKind::kInt64:
-        *t = VType::kI64;
-        break;
-      case TypeKind::kDouble:
-        *t = VType::kF64;
-        break;
-      case TypeKind::kDate:
-        *t = VType::kDate;
-        break;
-      case TypeKind::kBool:
-        *t = VType::kBool;
-        break;
-      default:
-        return false;
-    }
+    *t = kernel_internal::LaneType(schema->column(r.column_index).type);
+    if (*t == VType::kNull) return false;
     *col = r.column_index;
     *off = r.total_offset;
     return true;
-  }
-
-  void NoteOffset(int off) {
-    min_off = std::min(min_off, off);
-    max_off = std::max(max_off, off);
   }
 
   int BuildLoad(const ColumnRef& r) {
     int col, off;
     VType t;
     if (!ColumnInfo(r, &col, &off, &t)) return -1;
-    NoteOffset(off);
     auto it = load_memo.find({col, off});
     if (it != load_memo.end()) return it->second;
     int idx = Add(std::make_unique<kernel_internal::LoadNode>(col, off, t));
@@ -817,7 +796,6 @@ struct KernelBuilder {
                 (ct == VType::kDate && v.kind() == TypeKind::kDate) ||
                 (ct == VType::kBool && v.kind() == TypeKind::kBool);
       if (!ok) return -2;
-      NoteOffset(off);
       return Add(std::make_unique<kernel_internal::ColCmpLitNode>(
           col, off, ct, e.cmp_op, v));
     }
@@ -828,8 +806,6 @@ struct KernelBuilder {
       bool ok = (IsNumeric(ct) && IsNumeric(tb)) ||
                 (ct == VType::kDate && tb == VType::kDate);
       if (!ok) return -2;
-      NoteOffset(off);
-      NoteOffset(offb);
       return Add(std::make_unique<kernel_internal::ColCmpColNode>(
           col, off, ct, colb, offb, tb, e.cmp_op));
     }
@@ -854,8 +830,6 @@ struct KernelBuilder {
       if (!ColumnInfo(colref->ref, &colb, &offb, &tb) || !IsNumeric(tb)) {
         return -2;
       }
-      NoteOffset(off);
-      NoteOffset(offb);
       return Add(std::make_unique<kernel_internal::ColCmpScaledColNode>(
           col, off, ct, lit->literal, colb, offb, tb, e.cmp_op));
     }
@@ -1014,10 +988,7 @@ std::unique_ptr<PredicateKernel> PredicateKernel::Compile(
   if (rt != VType::kBool && rt != VType::kNull) return nullptr;
   auto kernel = std::unique_ptr<PredicateKernel>(new PredicateKernel());
   kernel->nodes_ = std::move(builder.nodes);
-  kernel->expr_ = expr;
   kernel->root_ = root;
-  kernel->min_offset_ = builder.min_off;
-  kernel->max_offset_ = builder.max_off;
   return kernel;
 }
 
@@ -1034,37 +1005,17 @@ void PredicateKernel::EvalBlock(const SequenceView& seq, int64_t pos0,
   ctx.w1 = (lane1 + 63) >> 6;
   ctx.bufs = scratch->Prepare(static_cast<int>(nodes_.size()));
   for (int w = 0; w < kKernelWords; ++w) {
-    ctx.escape[w] = 0;
     out->true_bits[w] = 0;
     out->null_bits[w] = 0;
   }
   if (lane0 >= lane1) return;
   for (const auto& node : nodes_) node->Run(&ctx);
 
-  uint64_t range[kKernelWords] = {0, 0, 0, 0};
-  for (int l = lane0; l < lane1; ++l) kernel_internal::SetBit(range, l);
   const LaneBuf& r = ctx.bufs[root_];
-  bool escaped = false;
   for (int w = ctx.w0; w < ctx.w1; ++w) {
-    uint64_t live = range[w] & ~ctx.escape[w];
-    out->null_bits[w] = r.null_bits[w] & live;
-    out->true_bits[w] = r.true_bits[w] & ~r.null_bits[w] & live;
-    if ((ctx.escape[w] & range[w]) != 0) escaped = true;
-  }
-  if (!escaped) return;
-  // Lanes whose cells had unexpected runtime kinds: defer to the
-  // interpreter (always-correct path) lane by lane.
-  for (int l = lane0; l < lane1; ++l) {
-    if (((ctx.escape[l >> 6] >> (l & 63)) & 1) == 0) continue;
-    EvalContext ectx;
-    ectx.seq = &seq;
-    ectx.pos = pos0 + l;
-    Value v = EvalExpr(*expr_, ectx);
-    if (v.kind() == TypeKind::kBool) {
-      if (v.bool_value()) kernel_internal::SetBit(out->true_bits, l);
-    } else {
-      kernel_internal::SetBit(out->null_bits, l);
-    }
+    const uint64_t range = LaneSpan(w, lane0, lane1);
+    out->null_bits[w] = r.null_bits[w] & range;
+    out->true_bits[w] = r.true_bits[w] & ~r.null_bits[w] & range;
   }
 }
 
@@ -1075,12 +1026,9 @@ void PredicateKernel::Eval(const SequenceView& seq, int64_t start, int64_t n,
   for (int64_t done = 0; done < n; done += kKernelBlock) {
     int lanes = static_cast<int>(std::min<int64_t>(kKernelBlock, n - done));
     EvalBlock(seq, start + done, 0, lanes, scratch, &bv);
-    int64_t word0 = done / 64;  // done is a multiple of 256
-    for (int w = 0; w < kKernelWords && word0 + w < static_cast<int64_t>(
-                                                        out->true_bits.size());
-         ++w) {
-      out->true_bits[word0 + w] = bv.true_bits[w];
-      out->null_bits[word0 + w] = bv.null_bits[w];
+    for (int w = 0; w < (lanes + 63) / 64; ++w) {
+      out->true_bits[done / 64 + w] = bv.true_bits[w];
+      out->null_bits[done / 64 + w] = bv.null_bits[w];
     }
   }
 }

@@ -1,6 +1,7 @@
 #ifndef SQLTS_EXPR_KERNEL_H_
 #define SQLTS_EXPR_KERNEL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -42,6 +43,13 @@ namespace sqlts {
 /// Lanes evaluated per block, and the words of a block bitmask.
 inline constexpr int kKernelBlock = 256;
 inline constexpr int kKernelWords = kKernelBlock / 64;
+
+/// Word `w` of the mask of block lanes [lo, hi).
+inline uint64_t LaneSpan(int w, int lo, int hi) {
+  lo = std::clamp(lo - 64 * w, 0, 64);
+  hi = std::clamp(hi - 64 * w, 0, 64);
+  return lo >= hi ? 0 : (~uint64_t{0} >> (64 - (hi - lo))) << lo;
+}
 
 /// 3VL verdict bitmask for one block.  For each lane l in the
 /// evaluated range: true_bits set => TRUE; null_bits set => NULL (or a
@@ -128,19 +136,11 @@ class PredicateKernel {
   void Eval(const SequenceView& seq, int64_t start, int64_t n,
             KernelScratch* scratch, TriMask* out) const;
 
-  /// Most negative / most positive relative cell offset the predicate
-  /// reads (0 when it reads none, e.g. a folded constant).
-  int min_offset() const { return min_offset_; }
-  int max_offset() const { return max_offset_; }
-
  private:
   PredicateKernel() = default;
 
   std::vector<std::unique_ptr<kernel_internal::Node>> nodes_;  // post-order
-  ExprPtr expr_;  // interpreter fallback for escaped lanes
   int root_ = -1;
-  int min_offset_ = 0;
-  int max_offset_ = 0;
 
   friend struct KernelBuilder;
 };

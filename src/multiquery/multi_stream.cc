@@ -9,7 +9,7 @@ namespace {
 
 /// Streaming memo horizon per predicate per cluster.  Attempts probe a
 /// bounded window around the stream head, so a modest ring captures
-/// virtually all cross-query re-tests; a wrapped slot only costs a
+/// virtually all cross-query re-tests; an evicted block only costs a
 /// re-evaluation.
 constexpr int64_t kStreamCacheWindow = 4096;
 

@@ -54,8 +54,8 @@ struct SharedPredicate {
   /// compiled once at registration; null when the expression is not
   /// vectorizable (strings, unsupported shapes).  Shared predicates are
   /// tuple-local by construction, so the kernel's verdict at a position
-  /// is the interpreter's verdict — the cluster cache uses it to fill a
-  /// run of slots per miss instead of interpreting one position.
+  /// is the interpreter's verdict — the cluster cache uses it to fill
+  /// the rest of a block per miss instead of interpreting one position.
   std::unique_ptr<PredicateKernel> kernel;
 };
 
@@ -130,7 +130,7 @@ struct MultiQueryStats {
 ///     positive (log) domain is enabled per pair only when both sides
 ///     read only POSITIVE columns (ColumnDef::positive).
 ///  3. Subsumption: p ⇒ q with refs(q) ⊆ refs(p) records an edge so a
-///     TRUE verdict for p seeds q's cache slot.  Only the positive
+///     TRUE verdict for p seeds q's verdict there.  Only the positive
 ///     direction is used — p evaluating TRUE certifies every value p
 ///     reads exists and is non-NULL, which covers q's reads.
 ///

@@ -34,75 +34,42 @@ StatusOr<std::string> ScanGroupSignature(const Schema& schema,
 
 SharedClusterCache::SharedClusterCache(const SharedPredicateCatalog* catalog,
                                        int64_t window)
-    : catalog_(catalog), window_(window < 1 ? 1 : window) {}
+    : catalog_(catalog), store_(window) {}
 
 bool SharedClusterCache::Test(int pred_id, const EvalContext& ctx,
                               int64_t abs_pos,
                               MultiQueryCounters* counters) {
   counters->shared_lookups.fetch_add(1, std::memory_order_relaxed);
   ts::MutexLock lock(mu_);
-  // The catalog can grow between batches (AddQuery); rings follow.
-  if (static_cast<int>(rings_.size()) < catalog_->size()) {
-    rings_.resize(catalog_->size());
-  }
-  std::vector<Slot>& ring = rings_[pred_id];
-  if (ring.empty()) ring.resize(window_);
-  Slot& slot = ring[abs_pos % window_];
-  if (slot.pos == abs_pos) {
+  const int64_t live_from = abs_pos - ctx.pos;  // the caller's view base
+  const int lane = static_cast<int>(abs_pos % kKernelBlock);
+  VerdictStore::Block& b = store_.At(pred_id, abs_pos, live_from);
+  if (b.Known(lane)) {
     counters->cache_hits.fetch_add(1, std::memory_order_relaxed);
-    if (slot.inferred) {
+    if (b.Inferred(lane)) {
       counters->inferred_hits.fetch_add(1, std::memory_order_relaxed);
     }
-    return slot.val;
+    return b.True(lane);
   }
   counters->shared_evals.fetch_add(1, std::memory_order_relaxed);
   const SharedPredicate& pred = catalog_->predicate(pred_id);
+  // Only the queried lane counts as an eval; lanes a kernel fill adds
+  // surface later as cache hits.
+  uint64_t new_true[kKernelWords] = {};
+  if (pred.kernel != nullptr) {
+    store_.Fill(&b, *pred.kernel, *ctx.seq, ctx.pos, abs_pos, new_true);
+  } else {
+    const uint64_t bit = uint64_t{1} << (lane & 63);
+    b.known[lane >> 6] |= bit;
+    if (EvalPredicate(*pred.expr, ctx)) {
+      b.true_bits[lane >> 6] |= bit;
+      new_true[lane >> 6] = bit;
+    }
+  }
+  const bool val = b.True(lane);  // read before seeding may move `b`
   // A TRUE verdict certifies every read value exists; predicates the
   // catalog proves implied (with reference subsets) are TRUE there too.
-  auto seed_implied = [&](int64_t at) {
-    for (int q : pred.implies) {
-      std::vector<Slot>& qring = rings_[q];
-      if (qring.empty()) qring.resize(window_);
-      Slot& qslot = qring[at % window_];
-      if (qslot.pos != at) {
-        qslot.pos = at;
-        qslot.val = true;
-        qslot.inferred = true;
-      }
-    }
-  };
-
-  if (pred.kernel != nullptr) {
-    // Vectorized fill: one kernel sweep computes a contiguous run of
-    // verdicts starting at the missed position.  Every filled position
-    // p' >= ctx.pos lies in the current view, and since p' + off is
-    // bracketed by ctx.pos + min_offset (>= 0, the matcher only tests
-    // positions whose references are buffered) and p' (< size), each
-    // verdict reads only live cells — so it equals what the interpreter
-    // would answer at query time (the buffered-view argument of
-    // docs/MULTIQUERY.md extends to the whole run).  Only the queried
-    // lane counts as an eval; prefilled lanes surface as cache hits.
-    const int64_t n = std::min<int64_t>(
-        std::min<int64_t>(kKernelBlock, window_),
-        ctx.seq->size() - ctx.pos);
-    TriMask mask;
-    pred.kernel->Eval(*ctx.seq, ctx.pos, n, &scratch_, &mask);
-    for (int64_t i = 0; i < n; ++i) {
-      Slot& s = ring[(abs_pos + i) % window_];
-      if (i != 0 && s.pos == abs_pos + i) continue;  // keep cached slots
-      s.pos = abs_pos + i;
-      s.val = mask.True(i);
-      s.inferred = false;
-      if (s.val) seed_implied(abs_pos + i);
-    }
-    return ring[abs_pos % window_].val;
-  }
-
-  bool val = EvalPredicate(*pred.expr, ctx);
-  slot.pos = abs_pos;
-  slot.val = val;
-  slot.inferred = false;
-  if (val) seed_implied(abs_pos);
+  for (int q : pred.implies) store_.Seed(q, abs_pos, live_from, new_true);
   return val;
 }
 

@@ -8,6 +8,7 @@
 
 #include "common/thread_annotations.h"
 #include "engine/shared_eval.h"
+#include "engine/verdict_store.h"
 #include "expr/eval.h"
 #include "multiquery/predicate_catalog.h"
 #include "parser/analyzer.h"
@@ -39,10 +40,9 @@ QueryConjuncts RegisterQueryConjuncts(const CompiledQuery& query,
 StatusOr<std::string> ScanGroupSignature(const Schema& schema,
                                          const CompiledQuery& query);
 
-/// Memo of shared-predicate verdicts for one cluster, keyed by
-/// (predicate id, absolute sequence position).  A ring window per
-/// predicate bounds memory: an evicted slot only costs a re-evaluation,
-/// never correctness, because cached values are query-independent (a
+/// Memo of shared-predicate verdicts for one cluster: the multi-query
+/// policy over a VerdictStore (engine/verdict_store.h) with one slot
+/// per catalog predicate.  Cached values are query-independent (a
 /// tuple-local conjunct shared by two queries reads the same tuple
 /// neighborhood in both — see docs/MULTIQUERY.md for the buffered-view
 /// argument).  Thread-safe: per-query streaming executors shard by the
@@ -50,31 +50,23 @@ StatusOr<std::string> ScanGroupSignature(const Schema& schema,
 /// one cluster's cache concurrently.
 class SharedClusterCache {
  public:
-  /// `window` slots per predicate; sized to the cluster length in batch
-  /// mode (exact once-per-tuple memoization) and to a fixed horizon in
-  /// streaming mode.
+  /// Positions each predicate's ring holds before it wraps; sized to
+  /// the cluster length in batch mode (exact once-per-tuple
+  /// memoization) and to a fixed horizon in streaming mode.
   SharedClusterCache(const SharedPredicateCatalog* catalog, int64_t window);
 
   /// Returns the TRUE-collapsed verdict of predicate `pred_id` at
   /// absolute position `abs_pos`, evaluating under `ctx` only on a
-  /// miss.  A TRUE verdict seeds the slots of every predicate the
+  /// miss (a kernel predicate fills by the store's rule).  Every lane
+  /// a miss finds TRUE seeds the same lane of every predicate the
   /// catalog proves subsumed.
   bool Test(int pred_id, const EvalContext& ctx, int64_t abs_pos,
             MultiQueryCounters* counters);
 
  private:
-  struct Slot {
-    int64_t pos = -1;  // absolute position cached, -1 = empty
-    bool val = false;
-    bool inferred = false;  // seeded by a subsumption edge
-  };
-
   const SharedPredicateCatalog* catalog_;
-  int64_t window_;
   ts::Mutex mu_;
-  /// [pred id][abs_pos % window]
-  std::vector<std::vector<Slot>> rings_ GUARDED_BY(mu_);
-  KernelScratch scratch_ GUARDED_BY(mu_);  // kernel work area
+  VerdictStore store_ GUARDED_BY(mu_);
 };
 
 /// ElementEvaluator for one (query, cluster) pair: splits the element

@@ -38,11 +38,15 @@ class Value {
   Value() : v_(std::monostate{}) {}
 
   static Value Null() { return Value(); }
-  static Value Bool(bool b) { return Value(Payload(b)); }
-  static Value Int64(int64_t i) { return Value(Payload(i)); }
-  static Value Double(double d) { return Value(Payload(d)); }
-  static Value String(std::string s) { return Value(Payload(std::move(s))); }
-  static Value FromDate(Date d) { return Value(Payload(d)); }
+  static Value Bool(bool b) { return Value(std::in_place_type<bool>, b); }
+  static Value Int64(int64_t i) {
+    return Value(std::in_place_type<int64_t>, i);
+  }
+  static Value Double(double d) { return Value(std::in_place_type<double>, d); }
+  static Value String(std::string s) {
+    return Value(std::in_place_type<std::string>, std::move(s));
+  }
+  static Value FromDate(Date d) { return Value(std::in_place_type<Date>, d); }
 
   /// The payload's alternatives are declared in TypeKind order.
   TypeKind kind() const { return static_cast<TypeKind>(v_.index()); }
@@ -100,7 +104,11 @@ class Value {
   static_assert(std::is_same_v<std::variant_alternative_t<
                      static_cast<size_t>(TypeKind::kDate), Payload>,
                  Date>);
-  explicit Value(Payload v) : v_(std::move(v)) {}
+  /// Builds the alternative in place.  Moving a temporary Payload into
+  /// v_ instead makes GCC 12 (-O2 with ASan) report its std::string
+  /// member as maybe-uninitialized, a false positive.
+  template <typename T>
+  Value(std::in_place_type_t<T> type, T x) : v_(type, std::move(x)) {}
 
   Payload v_;
 };
