@@ -130,6 +130,18 @@ void MultiQueryStats::SnapshotCounters(const MultiQueryCounters& c) {
   private_evals += c.private_evals.load(std::memory_order_relaxed);
 }
 
+void MultiQueryTally::PublishTo(MultiQueryCounters* counters) {
+  auto publish = [](int64_t* n, std::atomic<int64_t>* into) {
+    if (*n != 0) into->fetch_add(*n, std::memory_order_relaxed);
+    *n = 0;
+  };
+  publish(&shared_lookups, &counters->shared_lookups);
+  publish(&shared_evals, &counters->shared_evals);
+  publish(&cache_hits, &counters->cache_hits);
+  publish(&inferred_hits, &counters->inferred_hits);
+  publish(&private_evals, &counters->private_evals);
+}
+
 std::string MultiQueryStats::ToString() const {
   std::string out;
   out += "multi-query execution: " + std::to_string(num_queries) +

@@ -71,14 +71,29 @@ struct CatalogStats {
 };
 
 /// Run-time counters shared by every evaluator of one multi-query
-/// execution (batch or streaming).  Atomics: streaming shard workers of
-/// different per-query executors may test the same cluster concurrently.
+/// execution (batch or streaming).  Atomics: evaluators on different
+/// workers publish into them; none counts here per lookup (see
+/// MultiQueryTally).
 struct MultiQueryCounters {
   std::atomic<int64_t> shared_lookups{0};  ///< cache consultations
   std::atomic<int64_t> shared_evals{0};    ///< actual EvalPredicate runs
   std::atomic<int64_t> cache_hits{0};      ///< answered from the memo
   std::atomic<int64_t> inferred_hits{0};   ///< hits seeded by subsumption
   std::atomic<int64_t> private_evals{0};   ///< unshareable conjunct runs
+};
+
+/// One evaluator's unpublished share of MultiQueryCounters, in plain
+/// integers: lookups count here without synchronization, and PublishTo
+/// adds the tally to the shared atomics in one go.
+struct MultiQueryTally {
+  int64_t shared_lookups = 0;
+  int64_t shared_evals = 0;
+  int64_t cache_hits = 0;
+  int64_t inferred_hits = 0;
+  int64_t private_evals = 0;
+
+  /// Adds every nonzero field to `counters` and zeroes the tally.
+  void PublishTo(MultiQueryCounters* counters);
 };
 
 /// Workload-level accounting for one multi-query execution, surfaced

@@ -38,20 +38,17 @@ SharedClusterCache::SharedClusterCache(const SharedPredicateCatalog* catalog,
 
 bool SharedClusterCache::Test(int pred_id, const EvalContext& ctx,
                               int64_t abs_pos,
-                              MultiQueryCounters* counters) {
-  counters->shared_lookups.fetch_add(1, std::memory_order_relaxed);
-  ts::MutexLock lock(mu_);
+                              MultiQueryTally* tally) {
+  ++tally->shared_lookups;
   const int64_t live_from = abs_pos - ctx.pos;  // the caller's view base
   const int lane = static_cast<int>(abs_pos % kKernelBlock);
   VerdictStore::Block& b = store_.At(pred_id, abs_pos, live_from);
   if (b.Known(lane)) {
-    counters->cache_hits.fetch_add(1, std::memory_order_relaxed);
-    if (b.Inferred(lane)) {
-      counters->inferred_hits.fetch_add(1, std::memory_order_relaxed);
-    }
+    ++tally->cache_hits;
+    if (b.Inferred(lane)) ++tally->inferred_hits;
     return b.True(lane);
   }
-  counters->shared_evals.fetch_add(1, std::memory_order_relaxed);
+  ++tally->shared_evals;
   const SharedPredicate& pred = catalog_->predicate(pred_id);
   // Only the queried lane counts as an eval; lanes a kernel fill adds
   // surface later as cache hits.
@@ -83,9 +80,9 @@ bool MultiQueryEvaluator::Test(int j, const SequenceView& seq, int64_t pos,
   for (const QueryConjuncts::Conjunct& c : conjuncts_->elements[j]) {
     bool sat;
     if (c.shared_id >= 0) {
-      sat = cache_->Test(c.shared_id, ctx, abs_pos, counters_);
+      sat = cache_->Test(c.shared_id, ctx, abs_pos, &tally_);
     } else {
-      counters_->private_evals.fetch_add(1, std::memory_order_relaxed);
+      ++tally_.private_evals;
       sat = EvalPredicate(*c.expr, ctx);
     }
     if (!sat) return false;
@@ -97,12 +94,11 @@ SharedEvalManager::SharedEvalManager(const Schema& schema,
                                      OracleOptions oracle, int64_t window)
     : catalog_(schema, oracle), window_(window) {}
 
-SharedClusterCache* SharedEvalManager::CacheFor(
-    const std::string& encoded_key) {
+SharedCacheSlot* SharedEvalManager::SlotFor(const std::string& encoded_key) {
   ts::MutexLock lock(mu_);
-  std::unique_ptr<SharedClusterCache>& slot = caches_[encoded_key];
+  std::unique_ptr<SharedCacheSlot>& slot = caches_[encoded_key];
   if (slot == nullptr) {
-    slot = std::make_unique<SharedClusterCache>(&catalog_, window_);
+    slot = std::make_unique<SharedCacheSlot>(&catalog_, window_);
   }
   return slot.get();
 }

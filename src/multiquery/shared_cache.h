@@ -45,9 +45,10 @@ StatusOr<std::string> ScanGroupSignature(const Schema& schema,
 /// per catalog predicate.  Cached values are query-independent (a
 /// tuple-local conjunct shared by two queries reads the same tuple
 /// neighborhood in both — see docs/MULTIQUERY.md for the buffered-view
-/// argument).  Thread-safe: per-query streaming executors shard by the
-/// same cluster-key hash, so workers of *different* queries may probe
-/// one cluster's cache concurrently.
+/// argument).  Single owner, no lock: batch builds one per cluster body
+/// and only that body's worker touches it; streaming, where workers of
+/// different queries share a cluster, keeps it in a SharedCacheSlot
+/// behind the slot's mutex.
 class SharedClusterCache {
  public:
   /// Positions each predicate's ring holds before it wraps; sized to
@@ -59,14 +60,13 @@ class SharedClusterCache {
   /// absolute position `abs_pos`, evaluating under `ctx` only on a
   /// miss (a kernel predicate fills by the store's rule).  Every lane
   /// a miss finds TRUE seeds the same lane of every predicate the
-  /// catalog proves subsumed.
+  /// catalog proves subsumed.  Counts the lookup in `tally`.
   bool Test(int pred_id, const EvalContext& ctx, int64_t abs_pos,
-            MultiQueryCounters* counters);
+            MultiQueryTally* tally);
 
  private:
   const SharedPredicateCatalog* catalog_;
-  ts::Mutex mu_;
-  VerdictStore store_ GUARDED_BY(mu_);
+  VerdictStore store_;
 };
 
 /// ElementEvaluator for one (query, cluster) pair: splits the element
@@ -74,26 +74,74 @@ class SharedClusterCache {
 /// cluster cache and private ones directly.  Answer-preserving: under
 /// Kleene semantics the AND of conjuncts is TRUE iff every conjunct is
 /// TRUE, which is exactly the per-conjunct collapse this reproduces.
+/// Single owner, like its cache: it counts into a plain tally and adds
+/// it to `counters` once, when destroyed (batch: once per (query,
+/// cluster) pair); streaming's LockedMultiQueryEvaluator publishes
+/// after every test instead.
 class MultiQueryEvaluator : public ElementEvaluator {
  public:
   MultiQueryEvaluator(const QueryConjuncts* conjuncts,
                       SharedClusterCache* cache,
                       MultiQueryCounters* counters)
       : conjuncts_(conjuncts), cache_(cache), counters_(counters) {}
+  MultiQueryEvaluator(const MultiQueryEvaluator&) = delete;
+  MultiQueryEvaluator& operator=(const MultiQueryEvaluator&) = delete;
+  ~MultiQueryEvaluator() override { Publish(); }
 
   bool Test(int j, const SequenceView& seq, int64_t pos,
             const std::vector<GroupSpan>& spans, int64_t abs_pos) override;
+
+  /// Adds the tally so far to the counters.
+  void Publish() { tally_.PublishTo(counters_); }
 
  private:
   const QueryConjuncts* conjuncts_;
   SharedClusterCache* cache_;
   MultiQueryCounters* counters_;
+  MultiQueryTally tally_;
 };
 
-/// Shared-evaluation state for one scan group (queries with identical
-/// CLUSTER BY / SEQUENCE BY): the predicate catalog, one cache per
-/// cluster (keyed by encoded cluster key, the identity stable across
-/// per-query executors), and the workload counters.
+/// One streaming cluster's cache next to the mutex that guards it:
+/// shard workers of different per-query executors shard by the same
+/// cluster-key hash, so they may probe one cluster concurrently.
+struct SharedCacheSlot {
+  SharedCacheSlot(const SharedPredicateCatalog* catalog, int64_t window)
+      : cache(catalog, window) {}
+
+  ts::Mutex mu;
+  SharedClusterCache cache GUARDED_BY(mu);
+};
+
+/// Streaming's evaluator: the batch MultiQueryEvaluator run under its
+/// slot's mutex, taken once per element test.  It publishes the tally
+/// before unlocking, so counters read between pushes (stats(),
+/// checkpoints, server METRICS) are current while matchers live.
+class LockedMultiQueryEvaluator : public ElementEvaluator {
+ public:
+  LockedMultiQueryEvaluator(const QueryConjuncts* conjuncts,
+                            SharedCacheSlot* slot,
+                            MultiQueryCounters* counters)
+      : slot_(slot), inner_(conjuncts, &slot->cache, counters) {}
+
+  bool Test(int j, const SequenceView& seq, int64_t pos,
+            const std::vector<GroupSpan>& spans, int64_t abs_pos) override {
+    ts::MutexLock lock(slot_->mu);
+    const bool sat = inner_.Test(j, seq, pos, spans, abs_pos);
+    inner_.Publish();
+    return sat;
+  }
+
+ private:
+  SharedCacheSlot* slot_;
+  MultiQueryEvaluator inner_ GUARDED_BY(slot_->mu);
+};
+
+/// Streaming shared-evaluation state for one scan group (queries with
+/// identical CLUSTER BY / SEQUENCE BY): the predicate catalog, one
+/// locked cache slot per cluster (keyed by encoded cluster key, the
+/// identity stable across per-query executors), and the workload
+/// counters its evaluators publish into after every element test.  The
+/// only place a SharedClusterCache is shared between threads.
 class SharedEvalManager {
  public:
   SharedEvalManager(const Schema& schema, OracleOptions oracle,
@@ -104,9 +152,9 @@ class SharedEvalManager {
     return RegisterQueryConjuncts(query, &catalog_);
   }
 
-  /// Cache for `encoded_key`'s cluster, created on first use.
+  /// Cache slot for `encoded_key`'s cluster, created on first use.
   /// Thread-safe (shard workers of different queries race here).
-  SharedClusterCache* CacheFor(const std::string& encoded_key);
+  SharedCacheSlot* SlotFor(const std::string& encoded_key);
 
   /// Frees every cache namespaced to `epoch` (keys the factories build
   /// as "<epoch>\x1f<cluster key>").  Only call once no live query of
@@ -132,7 +180,7 @@ class SharedEvalManager {
   int64_t window_;
   MultiQueryCounters counters_;  // atomics
   mutable ts::Mutex mu_;
-  std::unordered_map<std::string, std::unique_ptr<SharedClusterCache>> caches_
+  std::unordered_map<std::string, std::unique_ptr<SharedCacheSlot>> caches_
       GUARDED_BY(mu_);
 };
 
@@ -156,10 +204,10 @@ class QuerySharedEvalFactory : public ElementEvaluatorFactory {
 
   std::unique_ptr<ElementEvaluator> MakeEvaluator(
       const std::string& encoded_cluster_key) override {
-    return std::make_unique<MultiQueryEvaluator>(
+    return std::make_unique<LockedMultiQueryEvaluator>(
         &conjuncts_,
-        manager_->CacheFor(std::to_string(epoch_) + '\x1f' +
-                           encoded_cluster_key),
+        manager_->SlotFor(std::to_string(epoch_) + '\x1f' +
+                          encoded_cluster_key),
         manager_->counters());
   }
 

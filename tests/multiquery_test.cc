@@ -125,6 +125,69 @@ TEST(MultiQueryBatch, BitIdenticalToIndependentRunsAtAnyThreadCount) {
   }
 }
 
+/// `instruments` quote series of `days` rows each, interleaved day by
+/// day as a feed delivers them.
+Table InterleavedMarket(int instruments, int days) {
+  Table t(QuoteSchema());
+  for (int i = 0; i < days; ++i) {
+    for (int k = 0; k < instruments; ++k) {
+      const double price = 50.0 + 10.0 * k + 8.0 * std::sin(i * 0.37 + k) +
+                           3.0 * std::sin(i * 1.3 + 2.0 * k);
+      SQLTS_CHECK_OK(t.AppendRow({Value::String("S" + std::to_string(k)),
+                                  Value::FromDate(Date(10000).AddDays(i)),
+                                  Value::Double(price)}));
+    }
+  }
+  return t;
+}
+
+/// Streaming-eligible set touching every counter: a merged duplicate
+/// conjunct (hits), a tighter ratio that subsumes a looser one
+/// (inferred hits), and anchored conjuncts (private evals).
+std::vector<std::string> CounterQueries() {
+  return {
+      "SELECT X.name, Y.date FROM quote CLUSTER BY name SEQUENCE BY date "
+      "AS (X, Y) WHERE Y.price < 0.97 * X.price",
+      "SELECT X.name, Z.date FROM quote CLUSTER BY name SEQUENCE BY date "
+      "AS (X, Y, Z) WHERE Y.price < 0.97 * X.price AND Z.price > Y.price",
+      "SELECT X.name, Y.price FROM quote CLUSTER BY name SEQUENCE BY date "
+      "AS (X, Y) WHERE Y.price < 0.95 * X.price",
+      testing_util::kPortfolioQuery,
+  };
+}
+
+void ExpectCounterIdentity(const MultiQueryStats& s, const std::string& at) {
+  EXPECT_EQ(s.shared_lookups, s.cache_hits + s.shared_evals) << at;
+  EXPECT_LE(s.inferred_hits, s.cache_hits) << at;
+}
+
+TEST(MultiQueryBatch, CountersIdenticalAtAnyThreadCount) {
+  // Each (query, cluster) evaluator publishes its tally once, when it
+  // is destroyed on whichever worker ran the cluster; the totals must
+  // not depend on how many workers destroy evaluators concurrently.
+  Table data = InterleavedMarket(8, 160);
+  const std::vector<std::string> queries = CounterQueries();
+  std::vector<MultiQueryStats> runs;
+  for (int threads : {1, 2, 4}) {
+    ExecOptions opt;
+    opt.num_threads = threads;
+    auto set = MultiQueryExecutor::Execute(data, queries, opt);
+    ASSERT_TRUE(set.ok()) << set.status();
+    ExpectCounterIdentity(set->stats, "threads=" + std::to_string(threads));
+    runs.push_back(set->stats);
+  }
+  ASSERT_GT(runs[0].cache_hits, 0);
+  ASSERT_GT(runs[0].inferred_hits, 0);
+  ASSERT_GT(runs[0].private_evals, 0);
+  for (size_t i = 1; i < runs.size(); ++i) {
+    EXPECT_EQ(runs[i].shared_lookups, runs[0].shared_lookups) << i;
+    EXPECT_EQ(runs[i].shared_evals, runs[0].shared_evals) << i;
+    EXPECT_EQ(runs[i].cache_hits, runs[0].cache_hits) << i;
+    EXPECT_EQ(runs[i].inferred_hits, runs[0].inferred_hits) << i;
+    EXPECT_EQ(runs[i].private_evals, runs[0].private_evals) << i;
+  }
+}
+
 TEST(MultiQueryBatch, SubsumptionSeedsInferredHits) {
   Table data = MultiInstrumentTable();
   // 0.95-drop implies 0.97-drop on a POSITIVE column: a TRUE verdict
@@ -497,6 +560,72 @@ TEST(MultiQueryStream, KillAndRestoreAcrossThreadCountsKeepsWatermarks) {
       }
     }
   }
+}
+
+TEST(MultiQueryStream, CountersLiveWhileMatchersLive) {
+  // Streaming evaluators live as long as their cluster matchers, so
+  // they must publish as they go: a checkpoint taken mid-stream (which
+  // quiesces the shard workers) already carries every lookup made so
+  // far.  Which query fills a shared verdict first depends on worker
+  // interleaving, so only lookups and private evals are compared
+  // across thread counts.
+  Table data = InterleavedMarket(6, 120);
+  const std::vector<std::string> queries = CounterQueries();
+  const int64_t split = data.num_rows() / 2;
+  auto add_queries = [&](MultiStreamExecutor* multi) {
+    for (const std::string& q : queries) {
+      SQLTS_CHECK_OK(multi->AddQuery(q, [](const Row&) {}).status());
+    }
+  };
+
+  std::vector<MultiQueryStats> at_checkpoint;
+  std::vector<MultiQueryStats> at_end;
+  for (int threads : {1, 4}) {
+    const std::string at = "threads=" + std::to_string(threads);
+    auto uninterrupted = MakeMultiStream(threads);
+    add_queries(uninterrupted.get());
+    for (int64_t r = 0; r < data.num_rows(); ++r) {
+      ASSERT_TRUE(uninterrupted->Push(data.GetRow(r)).ok());
+    }
+    ASSERT_TRUE(uninterrupted->Finish().ok());
+    const MultiQueryStats full = uninterrupted->stats();
+
+    std::string bytes;
+    {
+      auto multi = MakeMultiStream(threads);
+      add_queries(multi.get());
+      for (int64_t r = 0; r < split; ++r) {
+        ASSERT_TRUE(multi->Push(data.GetRow(r)).ok());
+      }
+      ASSERT_TRUE(multi->Checkpoint(&bytes).ok());
+      const MultiQueryStats s = multi->stats();
+      EXPECT_GT(s.shared_lookups, 0) << at;
+      EXPECT_GT(s.private_evals, 0) << at;
+      ExpectCounterIdentity(s, at);
+      at_checkpoint.push_back(s);
+    }
+
+    auto restored = MakeMultiStream(threads);
+    ASSERT_TRUE(restored
+                    ->Restore(bytes,
+                              [](int, const std::string&) {
+                                return [](const Row&) {};
+                              })
+                    .ok());
+    for (int64_t r = split; r < data.num_rows(); ++r) {
+      ASSERT_TRUE(restored->Push(data.GetRow(r)).ok());
+    }
+    ASSERT_TRUE(restored->Finish().ok());
+    const MultiQueryStats end = restored->stats();
+    ExpectCounterIdentity(end, at);
+    EXPECT_EQ(end.shared_lookups, full.shared_lookups) << at;
+    EXPECT_EQ(end.private_evals, full.private_evals) << at;
+    at_end.push_back(end);
+  }
+  EXPECT_EQ(at_checkpoint[1].shared_lookups, at_checkpoint[0].shared_lookups);
+  EXPECT_EQ(at_checkpoint[1].private_evals, at_checkpoint[0].private_evals);
+  EXPECT_EQ(at_end[1].shared_lookups, at_end[0].shared_lookups);
+  EXPECT_EQ(at_end[1].private_evals, at_end[0].private_evals);
 }
 
 // ---------------------------------------------------------------------------

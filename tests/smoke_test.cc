@@ -20,9 +20,10 @@ TEST(Smoke, Example1EndToEnd) {
   EXPECT_EQ(result->output.num_rows(), 1);
   EXPECT_EQ(result->output.at(0, 0).string_value(), "INTC");
 
-  auto naive = QueryExecutor::Execute(
-      t, PaperExampleQuery(1),
-      ExecOptions{{}, SearchAlgorithm::kNaive, false});
+  ExecOptions naive_options;
+  naive_options.algorithm = SearchAlgorithm::kNaive;
+  auto naive =
+      QueryExecutor::Execute(t, PaperExampleQuery(1), naive_options);
   ASSERT_TRUE(naive.ok()) << naive.status();
   EXPECT_EQ(naive->output.num_rows(), 1);
 }

@@ -156,12 +156,12 @@ TEST(VerdictStoreShared, SeedingKeepsInferredBitAcrossWraps) {
   ASSERT_NE(catalog.predicate(q).kernel, nullptr);
 
   SharedClusterCache cache(&catalog, /*window=*/kKernelBlock);
-  MultiQueryCounters counters;
+  MultiQueryTally tally;
   auto test = [&](int id, const ExprPtr& pred, int64_t pos) {
     EvalContext ctx;
     ctx.seq = &view;
     ctx.pos = pos;
-    const bool got = cache.Test(id, ctx, pos, &counters);
+    const bool got = cache.Test(id, ctx, pos, &tally);
     EXPECT_EQ(got, Interpret(pred, view, pos)) << "pred " << id << " at "
                                                << pos;
   };
@@ -177,17 +177,16 @@ TEST(VerdictStoreShared, SeedingKeepsInferredBitAcrossWraps) {
     for (int64_t pos = lo; pos < hi; ++pos) test(q, loose, pos);
   }
   ASSERT_GT(tight_true, 0);
-  EXPECT_EQ(counters.inferred_hits.load(), tight_true);
+  EXPECT_EQ(tally.inferred_hits, tight_true);
 
   // Revisit evicted blocks in an order that wraps both rings.
   for (int64_t k = 0; k < view.size(); ++k) {
     const int64_t pos = (k * 389) % view.size();
     test(k % 2 == 0 ? p : q, k % 2 == 0 ? tight : loose, pos);
   }
-  EXPECT_EQ(counters.shared_lookups.load(),
-            counters.cache_hits.load() + counters.shared_evals.load());
-  EXPECT_LE(counters.inferred_hits.load(), counters.cache_hits.load());
-  EXPECT_GT(counters.shared_evals.load(), 2 * view.size() / kKernelBlock);
+  EXPECT_EQ(tally.shared_lookups, tally.cache_hits + tally.shared_evals);
+  EXPECT_LE(tally.inferred_hits, tally.cache_hits);
+  EXPECT_GT(tally.shared_evals, 2 * view.size() / kKernelBlock);
 }
 
 std::string RowString(const Row& row) {
